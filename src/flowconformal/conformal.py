@@ -107,22 +107,23 @@ def build_score_pool(model: ClassFlowModel, x_rows: np.ndarray) -> ScorePool:
     return ScorePool(model.class_label, nonconformity_scores(model, x_rows))
 
 
-def _p_from_sorted(scores: np.ndarray, t_new: float, mode: str) -> float:
-    if not np.isfinite(t_new):
-        raise DataError(f"score must be finite, got {t_new}")
+def _p_from_sorted(scores: np.ndarray, t_new: np.ndarray, mode: str) -> np.ndarray:
+    """P-values of every entry of ``t_new`` against the sorted pool ``scores``."""
+    t_new = np.asarray(t_new)
+    if not np.isfinite(t_new).all():
+        raise DataError(f"score must be finite, got {t_new[~np.isfinite(t_new)][0]}")
     n = scores.size
     if mode == "smoothed":
-        ge = n - int(np.searchsorted(scores, t_new, side="left"))
+        ge = n - np.searchsorted(scores, t_new, side="left")
         return (1.0 + ge) / (n + 1.0)
     if mode == "paper-literal":
-        le = int(np.searchsorted(scores, t_new, side="right"))
-        return le / n
+        return np.searchsorted(scores, t_new, side="right") / n
     raise ConfigError(f"p_value_mode must be one of {P_VALUE_MODES}, got {mode!r}")
 
 
 def p_value(pool: ScorePool, t_new: float, mode: str = "smoothed") -> float:
     """Conformal p-value of a new score against a class pool."""
-    return _p_from_sorted(pool.scores, float(t_new), mode)
+    return float(_p_from_sorted(pool.scores, np.float64(t_new), mode))
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,8 @@ def p_value_matrix(models, pools, x: np.ndarray, mode: str = "smoothed"):
     """(n, L) matrix of p-values for many rows; returns (labels, matrix)."""
     _check_aligned(models, pools)
     x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for model, pool in zip(models, pools):
-        scores = nonconformity_scores(model, x)
-        cols.append([_p_from_sorted(pool.scores, float(t), mode) for t in scores])
+    cols = [_p_from_sorted(pool.scores, nonconformity_scores(model, x), mode)
+            for model, pool in zip(models, pools)]
     labels = tuple(m.class_label for m in models)
     return labels, np.asarray(cols, dtype=np.float64).T
 

@@ -2,9 +2,14 @@
 
 The squared MMD estimator is the unbiased three-term U-statistic: within-set
 kernel sums exclude the diagonal and are divided by m(m-1), the cross term by
-mn. There is one implementation, built on the autodiff graph; the plain
-numeric entry point wraps constants around the same code, so the training
-loss and the reported estimate can never disagree.
+mn. There is one implementation, a single autodiff node: its forward builds
+the three Gaussian Gram matrices from ||a||^2 + ||b||^2 - 2ab^T on rows
+centred at their pooled mean, and its backward is the closed form
+d/da_i = -(2/h^2) sum_j w_ij (a_i - b_j), taken as row sums plus two
+matrix products per operand. The plain numeric entry point wraps constants
+around the same node, so the training loss and the reported estimate can
+never disagree. The median heuristic reads its distances from the same
+Gram expansion.
 """
 
 from __future__ import annotations
@@ -58,6 +63,20 @@ class KernelSpec:
         return self.bandwidth is not None
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances ||a_i - b_j||^2 from the Gram expansion.
+
+    Callers centre the rows first: the expansion cancels ||a||^2 against
+    2ab^T, and its rounding error grows with the norms, not the distances.
+    Entries that rounding pushes below zero are clamped to 0.
+    """
+    sq = a @ b.T
+    sq *= -2.0
+    sq += (a * a).sum(axis=1)[:, None]
+    sq += (b * b).sum(axis=1)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def median_bandwidth(samples: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the rows of ``samples``.
 
@@ -67,10 +86,15 @@ def median_bandwidth(samples: np.ndarray) -> float:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("median heuristic needs a 2-D array with at least 2 rows")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
     iu = np.triu_indices(x.shape[0], k=1)
-    pair = dist[iu]
+    xc = x - x.mean(axis=0)
+    sq = _sq_dists(xc, xc)[iu]
+    # the expansion leaves rounding residue between coincident rows; those
+    # pairs must read exactly 0 for the fallback and the degeneracy test
+    _, key = np.unique(x, axis=0, return_inverse=True)
+    key = key.ravel()
+    sq[key[iu[0]] == key[iu[1]]] = 0.0
+    pair = np.sqrt(sq)
     med = float(np.median(pair))
     if med > 0:
         return med
@@ -99,14 +123,6 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.exp(-sq / (spec.bandwidth ** 2)))
 
 
-def _pairwise_kernel(a: Tensor, b: Tensor, bandwidth: float) -> Tensor:
-    m, d = a.shape
-    n = b.shape[0]
-    diff = a.reshape(m, 1, d) - b.reshape(1, n, d)
-    sq = (diff * diff).sum(axis=2)
-    return (sq * (-1.0 / (bandwidth * bandwidth))).exp()
-
-
 def mmd2_unbiased_graph(u, v, spec: KernelSpec) -> Tensor:
     """Unbiased squared-MMD node; differentiable in both sample sets."""
     if not spec.resolved:
@@ -129,14 +145,40 @@ def mmd2_unbiased_graph(u, v, spec: KernelSpec) -> Tensor:
     if (m, a.data.tobytes()) > (n, b.data.tobytes()):
         a, b = b, a
         m, n = n, m
-    kxx = _pairwise_kernel(a, a, spec.bandwidth)
-    kyy = _pairwise_kernel(b, b, spec.bandwidth)
-    kxy = _pairwise_kernel(a, b, spec.bandwidth)
-    # diagonal entries are exactly 1 and carry zero gradient, so subtract the count
-    term_x = (kxx.sum() - float(m)) * (1.0 / (m * (m - 1)))
-    term_y = (kyy.sum() - float(n)) * (1.0 / (n * (n - 1)))
-    cross = kxy.sum() * (2.0 / (m * n))
-    return term_x + term_y - cross
+    # the kernel depends on differences only, so centring is free and keeps
+    # the Gram expansion's cancellation error at the scale of the distances
+    mu = (a.data.sum(axis=0) + b.data.sum(axis=0)) * (1.0 / (m + n))
+    x = a.data - mu
+    y = b.data - mu
+    scale = -1.0 / (spec.bandwidth * spec.bandwidth)
+    kxx = np.exp(_sq_dists(x, x) * scale)
+    kyy = np.exp(_sq_dists(y, y) * scale)
+    kxy = np.exp(_sq_dists(x, y) * scale)
+    # the expansion does not leave exact ones on the diagonal, so the
+    # U-statistic drops those entries instead of subtracting the count
+    np.fill_diagonal(kxx, 0.0)
+    np.fill_diagonal(kyy, 0.0)
+    cx = 1.0 / (m * (m - 1))
+    cy = 1.0 / (n * (n - 1))
+    cxy = 2.0 / (m * n)
+    value = kxx.sum() * cx + kyy.sum() * cy - kxy.sum() * cxy
+
+    def backward(g):
+        # value = sum_ij w_ij k(p_i, q_j) over the three Gram blocks, and
+        # d k(p, q)/dp = -(2/h^2) k(p, q) (p - q); the within-set blocks are
+        # symmetric, so each of their weights counts twice
+        s = float(g) * 2.0 * scale
+        wxy = kxy * cxy
+        if a.requires_grad:
+            wxx = kxx * (2.0 * cx)
+            a._accum(((wxx.sum(axis=1) - wxy.sum(axis=1))[:, None] * x
+                      - wxx @ x + wxy @ y) * s)
+        if b.requires_grad:
+            wyy = kyy * (2.0 * cy)
+            b._accum(((wyy.sum(axis=1) - wxy.sum(axis=0))[:, None] * y
+                      - wyy @ y + wxy.T @ x) * s)
+
+    return a._make(np.asarray(value, dtype=np.float64), (a, b), backward)
 
 
 @dataclass(frozen=True)

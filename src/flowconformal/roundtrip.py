@@ -247,6 +247,18 @@ def _log_prob(p: Tensor) -> Tensor:
     return p.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR).log()
 
 
+def _disc_loss(model: ClassFlowModel, real_batch: np.ndarray, fake_batch: np.ndarray) -> Tensor:
+    """-mean log D(x) - mean log(1 - D(fake)); generated rows enter as constants."""
+    p_real = model.discriminator(Tensor(real_batch))
+    p_fake = model.discriminator(Tensor(fake_batch))
+    return -(_log_prob(p_real).mean()) - (_log_prob(1.0 - p_fake).mean())
+
+
+def _gen_loss(model: ClassFlowModel, z_batch: np.ndarray) -> Tensor:
+    """Non-saturating -mean log D(G(z)), differentiable through D into G."""
+    return -(_log_prob(model.discriminator(model.generator(Tensor(z_batch)))).mean())
+
+
 def loss_forward_gan(model: ClassFlowModel, real_batch: np.ndarray,
                      z_batch: np.ndarray) -> tuple[Tensor, Tensor]:
     """(discriminator loss, non-saturating generator loss) for one batch pair.
@@ -258,13 +270,8 @@ def loss_forward_gan(model: ClassFlowModel, real_batch: np.ndarray,
     z_batch = np.asarray(z_batch, dtype=np.float64)
     if real_batch.shape[0] == 0 or z_batch.shape[0] == 0:
         raise DataError("batches must be non-empty")
-    fake_const = model.generator.predict(z_batch)
-    p_real = model.discriminator(Tensor(real_batch))
-    p_fake_const = model.discriminator(Tensor(fake_const))
-    d_loss = -(_log_prob(p_real).mean()) - (_log_prob(1.0 - p_fake_const).mean())
-    p_fake = model.discriminator(model.generator(Tensor(z_batch)))
-    g_loss = -(_log_prob(p_fake).mean())
-    return d_loss, g_loss
+    d_loss = _disc_loss(model, real_batch, model.generator.predict(z_batch))
+    return d_loss, _gen_loss(model, z_batch)
 
 
 def loss_latent_mmd(model: ClassFlowModel, real_batch: np.ndarray,
@@ -371,17 +378,13 @@ def train_class_flow(
             if use_gan:
                 for _ in range(config.disc_steps):
                     z = sample_latent(rng, batch, d)
-                    fake = gen.predict(z)
-                    p_real = disc(Tensor(xb))
-                    p_fake = disc(Tensor(fake))
-                    d_loss = -(_log_prob(p_real).mean()) - (_log_prob(1.0 - p_fake).mean())
+                    d_loss = _disc_loss(model, xb, gen.predict(z))
                     sums["disc"] += _check_finite(float(d_loss.data), "discriminator",
                                                   epoch, step) / config.disc_steps
                     d_loss.backward()
                     opt_disc.step()
 
-                z = sample_latent(rng, batch, d)
-                gan_term = -(_log_prob(disc(gen(Tensor(z)))).mean())
+                gan_term = _gen_loss(model, sample_latent(rng, batch, d))
             else:
                 gan_term = None
 

@@ -299,6 +299,40 @@ def test_p_value_matrix_rows_match_single_sample_path():
         assert np.array_equal(mat[i], pv.values)
 
 
+@pytest.mark.parametrize("mode", ["smoothed", "paper-literal"])
+def test_p_value_matrix_bit_identical_to_per_row_p_value_with_ties(mode):
+    # integer-valued pools and test scores make ties with pool entries common,
+    # where the side of the search decides the count
+    rng = np.random.default_rng(33)
+    models = [make_identity_model(1, label=1), make_affine_model([[2.0]], [0.0], label=2)]
+    pools = [ScorePool(1, rng.integers(0, 6, size=40).astype(float)),
+             ScorePool(2, np.repeat([0.0, 4.0, 9.0], 5))]
+    x = np.sqrt(rng.integers(0, 12, size=(60, 1)).astype(float))
+    labels, mat = p_value_matrix(models, pools, x, mode)
+    assert labels == (1, 2)
+    for j, (model, pool) in enumerate(zip(models, pools)):
+        scores = nonconformity_scores(model, x)
+        assert np.isin(scores, pool.scores).any()
+        want = np.array([p_value(pool, t, mode) for t in scores])
+        assert np.array_equal(mat[:, j], want)
+        # and both agree with counting the pool directly, row by row
+        n = pool.scores.size
+        if mode == "smoothed":
+            counted = [(1.0 + np.sum(pool.scores >= t)) / (n + 1.0) for t in scores]
+        else:
+            counted = [np.sum(pool.scores <= t) / n for t in scores]
+        assert np.array_equal(mat[:, j], np.array(counted))
+
+
+def test_p_value_matrix_rejects_non_finite_scores_and_unknown_mode():
+    models = [make_identity_model(1)]
+    pools = [ScorePool(1, np.arange(5.0))]
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="finite"):
+        p_value_matrix(models, pools, np.array([[0.5], [1e200]]))  # score overflows
+    with pytest.raises(ConfigError, match="p_value_mode"):
+        p_value_matrix(models, pools, np.array([[0.5]]), "lower-tail")
+
+
 # -- CSV round-trips ---------------------------------------------------------------
 
 def test_pool_csv_roundtrip_exact(tmp_path):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FD_STEP, max_grad_error
+from conftest import FD_STEP, finite_diff_grad, max_grad_error
 from flowconformal.autodiff import Tensor
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
     MEDIAN_HEURISTIC,
+    _sq_dists,
     kernel_eval,
     median_bandwidth,
     mmd2_unbiased,
@@ -30,6 +31,38 @@ def brute_force_mmd2(u, v, bw):
     t2 = sum(k(v[i], v[j]) for i in range(n) for j in range(n) if i != j)
     t3 = sum(k(u[i], v[j]) for i in range(m) for j in range(n))
     return t1 / (m * (m - 1)) + t2 / (n * (n - 1)) - 2.0 * t3 / (m * n)
+
+
+def tape_mmd2(u, v, bw):
+    """The estimator composed from generic tape ops, as an independent oracle.
+
+    It builds (m, n, d) difference tensors and lets the tape differentiate
+    them, so it shares no code with the fused node beyond the Tensor class.
+    """
+    def gram(a, b):
+        m, d = a.shape
+        n = b.shape[0]
+        diff = a.reshape(m, 1, d) - b.reshape(1, n, d)
+        sq = (diff * diff).sum(axis=2)
+        return (sq * (-1.0 / (bw * bw))).exp()
+
+    a, b = u, v
+    m, n = a.shape[0], b.shape[0]
+    term_x = (gram(a, a).sum() - float(m)) * (1.0 / (m * (m - 1)))
+    term_y = (gram(b, b).sum() - float(n)) * (1.0 / (n * (n - 1)))
+    return term_x + term_y - gram(a, b).sum() * (2.0 / (m * n))
+
+
+def fused_and_tape(u, v, bw):
+    """(value, grad_u, grad_v) from the fused node and from the tape oracle."""
+    out = []
+    for fn in (lambda a, b: mmd2_unbiased_graph(a, b, KernelSpec(bandwidth=bw)),
+               lambda a, b: tape_mmd2(a, b, bw)):
+        ut, vt = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+        node = fn(ut, vt)
+        node.backward()
+        out.append((float(node.data), ut.grad, vt.grad))
+    return out
 
 
 def test_kernel_hand_values():
@@ -86,6 +119,44 @@ def test_median_bandwidth_degenerate_error():
         median_bandwidth(pts)
     with pytest.raises(DataError):
         median_bandwidth(np.zeros((1, 2)))
+
+
+def duplicated_rows(rng, copies, scale):
+    """``copies`` copies of one random row, the kind the Gram expansion rounds."""
+    d = int(rng.integers(1, 9))
+    return np.repeat(rng.normal(size=(1, d)) * scale, copies, axis=0)
+
+
+def test_median_bandwidth_duplicate_rows_are_exact_zeros():
+    # the Gram expansion leaves ~1e-12 residue of either sign between
+    # duplicated non-zero rows; those pairs must still count as exactly zero.
+    # 4 duplicates and one distant row give 6 zero pairs out of 10, so the
+    # median is zero and the mean takes over
+    pts = np.array([[0.1, 0.7]] * 4 + [[3.3, 1e3]])
+    far = math.dist(pts[0], pts[-1])
+    assert median_bandwidth(pts) == pytest.approx(4.0 * far / 10.0, rel=1e-12)
+    # 3 duplicates and one distant row: 3 zero pairs of 6, median halfway
+    assert median_bandwidth(pts[1:]) == pytest.approx(far / 2.0, rel=1e-12)
+    rng = np.random.default_rng(18)
+    for scale in (0.1, 1.0, 10.0, 1e3):
+        for _ in range(25):
+            dup = duplicated_rows(rng, 4, scale)
+            other = dup[:1] + rng.normal(size=dup[:1].shape) * scale
+            far = math.dist(dup[0], other[0])
+            assert median_bandwidth(np.vstack([dup, other])) == pytest.approx(
+                4.0 * far / 10.0, rel=1e-9)
+            with pytest.raises(DataError, match="degenerate sample for bandwidth"):
+                median_bandwidth(dup)
+
+
+def test_median_bandwidth_matches_direct_distances():
+    # rows far from the origin: without centring, the expansion would lose
+    # ~1e-6 of each squared distance to cancellation at this offset
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 8):
+        x = rng.normal(size=(40, d)) * 3.0 + 1e5
+        direct = [math.dist(x[i], x[j]) for i in range(40) for j in range(i + 1, 40)]
+        assert median_bandwidth(x) == pytest.approx(float(np.median(direct)), rel=1e-12)
 
 
 def test_resolve_bandwidth_passthrough_and_rule():
@@ -197,3 +268,105 @@ def test_mmd_unresolved_bandwidth_rejected():
     rule = KernelSpec(bandwidth_rule=MEDIAN_HEURISTIC)
     with pytest.raises(ConfigError, match="resolve"):
         mmd2_unbiased(np.zeros((3, 1)), np.ones((3, 1)), rule)
+
+
+# -- fused node against the tape oracle ------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_fused_node_matches_tape_oracle_at_batch_size(d):
+    rng = np.random.default_rng(40 + d)
+    u = rng.normal(size=(128, d))
+    v = rng.normal(size=(128, d)) * 1.3 + 0.4
+    (val, gu, gv), (want, wu, wv) = fused_and_tape(u, v, bw=1.1)
+    assert abs(val - want) <= 1e-12
+    assert np.max(np.abs(gu - wu)) <= 1e-12
+    assert np.max(np.abs(gv - wv)) <= 1e-12
+
+
+def test_fused_node_gradients_match_finite_differences_in_both_operands():
+    rng = np.random.default_rng(23)
+    u = rng.normal(size=(5, 3))
+    v = rng.normal(size=(7, 3)) + 0.5
+    spec = KernelSpec(bandwidth=1.2)
+    ut, vt = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+    mmd2_unbiased_graph(ut, vt, spec).backward()
+    num_u = finite_diff_grad(lambda a: mmd2_unbiased(a, v, spec).value, u.copy())
+    num_v = finite_diff_grad(lambda b: mmd2_unbiased(u, b, spec).value, v.copy())
+    assert max_grad_error(ut.grad, num_u) < 1e-5
+    assert max_grad_error(vt.grad, num_v) < 1e-5
+
+
+def test_fused_node_gradient_when_both_operands_are_one_tensor():
+    rng = np.random.default_rng(24)
+    u = rng.normal(size=(6, 2))
+    spec = KernelSpec(bandwidth=0.8)
+    ut = Tensor(u, requires_grad=True)
+    mmd2_unbiased_graph(ut, ut, spec).backward()
+    # d/du of f(u, u) sums both operand slots
+    at = Tensor(u, requires_grad=True)
+    tape_mmd2(at, at, 0.8).backward()
+    assert np.max(np.abs(ut.grad - at.grad)) <= 1e-14
+
+
+def test_fused_node_swap_gives_bit_identical_gradients():
+    rng = np.random.default_rng(25)
+    spec = KernelSpec(bandwidth=1.3)
+    for m, n in [(6, 9), (9, 6), (8, 8)]:
+        u = rng.normal(size=(m, 2))
+        v = rng.normal(size=(n, 2))
+        u1, v1 = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+        u2, v2 = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+        mmd2_unbiased_graph(u1, v1, spec).backward()
+        mmd2_unbiased_graph(v2, u2, spec).backward()
+        assert np.array_equal(u1.grad, u2.grad)
+        assert np.array_equal(v1.grad, v2.grad)
+
+
+def test_fused_node_centres_far_offset_rows():
+    # without centring, ||a||^2 ~ 1e6 and the expansion would lose about 1e-10
+    # of every squared distance; with it the brute-force oracle still agrees
+    rng = np.random.default_rng(26)
+    for _ in range(10):
+        u = rng.normal(size=(9, 2)) + 1e3
+        v = rng.normal(size=(11, 2)) + 1e3 + 0.5
+        est = mmd2_unbiased(u, v, KernelSpec(bandwidth=0.7))
+        assert est.value == pytest.approx(brute_force_mmd2(u.tolist(), v.tolist(), 0.7),
+                                          abs=1e-12)
+
+
+def test_fused_node_coincident_rows_stay_finite():
+    dup = np.array([[0.1, 0.7]] * 4 + [[3.3, 1e3]])
+    other = np.array([[0.1, 0.7]] * 3 + [[3.3, 1e3]])
+    spec = KernelSpec(bandwidth=0.5)
+    ut, vt = Tensor(dup, requires_grad=True), Tensor(other, requires_grad=True)
+    node = mmd2_unbiased_graph(ut, vt, spec)
+    node.backward()
+    assert np.isfinite(node.data)
+    assert np.all(np.isfinite(ut.grad)) and np.all(np.isfinite(vt.grad))
+    want = brute_force_mmd2(dup.tolist(), other.tolist(), 0.5)
+    assert float(node.data) == pytest.approx(want, abs=1e-12)
+    # the squared distances never go negative, even where duplicated rows
+    # cancel to rounding residue of either sign
+    rng = np.random.default_rng(27)
+    for scale in (1.0, 10.0, 1e3):
+        for _ in range(25):
+            rows = np.vstack([duplicated_rows(rng, 3, scale)] * 2)
+            sq = _sq_dists(rows, rows[::-1])
+            assert np.all(sq >= 0.0) and np.all(np.isfinite(sq))
+            ut = Tensor(rows, requires_grad=True)
+            node = mmd2_unbiased_graph(ut, rows[::-1].copy(), KernelSpec(bandwidth=0.1))
+            node.backward()
+            assert np.isfinite(node.data) and np.all(np.isfinite(ut.grad))
+
+
+def test_fused_node_drops_the_diagonal_exactly():
+    # points spread far beyond the bandwidth: every off-diagonal kernel value
+    # underflows to 0, so only the diagonal could contribute, and the
+    # U-statistic excludes it. Subtracting m from a diagonal that the Gram
+    # expansion rounds below 1 would leave a visible residue here
+    rng = np.random.default_rng(28)
+    for d in (2, 3, 8):
+        u = rng.normal(size=(20, d)) * 1e3
+        v = rng.normal(size=(15, d)) * 1e3
+        assert mmd2_unbiased(u, v, KernelSpec(bandwidth=1e-2)).value == 0.0

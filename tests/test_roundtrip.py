@@ -301,6 +301,40 @@ def test_training_deterministic_per_seed():
     assert np.array_equal(encode(m1, probe), encode(m2, probe))
 
 
+def test_loop_discriminator_loss_is_loss_forward_gan(monkeypatch):
+    # the loop and loss_forward_gan share one discriminator loss; replaying
+    # the loop's RNG draws up to its first discriminator step must give the
+    # d_loss that loss_forward_gan computes on the same batches
+    import flowconformal.roundtrip as roundtrip
+
+    seen = []
+    shared = roundtrip._disc_loss
+
+    def spy(*args):
+        out = shared(*args)
+        seen.append(float(out.data))
+        return out
+
+    monkeypatch.setattr(roundtrip, "_disc_loss", spy)
+    x, neg = _tiny_data()
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+    _, trace = train_class_flow(x, neg, 1, TINY_ARCH, cfg)
+    steps = x.shape[0] // cfg.batch_size
+    assert len(seen) == steps
+    total = 0.0
+    for value in seen:
+        total += value
+    assert trace.disc == [total / steps]
+
+    rng = np.random.default_rng(cfg.seed)
+    model = build_class_flow(TINY_ARCH, 1, rng)
+    xb = x[rng.permutation(x.shape[0])[:cfg.batch_size]]
+    sample_latent(rng, cfg.batch_size, 1)  # the bandwidth pool's reference half
+    z = sample_latent(rng, cfg.batch_size, 1)
+    d_loss, _ = loss_forward_gan(model, xb, z)
+    assert seen[0] == float(d_loss.data)
+
+
 def test_negative_pool_smaller_than_batch_is_resampled():
     x, _ = _tiny_data()
     neg = np.full((3, 1), -4.0)
