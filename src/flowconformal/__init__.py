@@ -3,116 +3,3 @@ space, with conformal predictive sets and outlier decisions built on the
 squared-norm of the latent encoding."""
 
 __version__ = "0.1.0"
-
-from .autodiff import Tensor, as_tensor
-from .baselines import (
-    ApsCalibration,
-    ClassifierConfig,
-    SoftmaxClassifier,
-    aps_calibrate,
-    aps_set,
-    scaling_set,
-    train_softmax_classifier,
-)
-from .conformal import (
-    ConformalConfig,
-    OUTLIER_TOKEN,
-    P_VALUE_MODES,
-    PredictiveSet,
-    PValueVector,
-    ScorePool,
-    build_score_pool,
-    is_outlier,
-    nonconformity_score,
-    nonconformity_scores,
-    p_value,
-    p_value_matrix,
-    p_values_all,
-    predictive_set,
-)
-from .datasets import (
-    ContaminationSpec,
-    LabeledDataset,
-    Normalizer,
-    OUTLIER,
-    SyntheticSpec,
-    fit_normalizer,
-    gen_gaussian_classes,
-    inject_contamination,
-    load_dataset_csv,
-    load_idx_dataset,
-    load_idx_images,
-    load_idx_labels,
-    save_dataset_csv,
-    split_stratified,
-)
-from .errors import ConfigError, DataError
-from .evaluation import (
-    EvalReport,
-    KsResult,
-    build_report,
-    chi2_moment_check,
-    coverage,
-    empirical_type1,
-    ks_statistic,
-    ks_uniformity,
-    size_error_excess,
-    size_error_paper,
-)
-from .kernels import (
-    KernelSpec,
-    MEDIAN_HEURISTIC,
-    Mmd2Estimate,
-    kernel_eval,
-    median_bandwidth,
-    mmd2_unbiased,
-    mmd2_unbiased_graph,
-    resolve_bandwidth,
-)
-from .nn import ACTIVATIONS, Adam, Mlp, MlpSpec
-from .roundtrip import (
-    ClassFlowModel,
-    FlowArchitecture,
-    LatentSpec,
-    TrainConfig,
-    TrainTrace,
-    build_class_flow,
-    encode,
-    generate,
-    load_class_flow,
-    loss_cycle,
-    loss_forward_gan,
-    loss_latent_mmd,
-    loss_pred_finetune,
-    sample_latent,
-    save_class_flow,
-    train_class_flow,
-)
-from .special import chi2_cdf, normal_cdf, regularized_lower_gamma
-
-__all__ = [
-    "__version__",
-    "Tensor", "as_tensor",
-    "ACTIVATIONS", "Adam", "Mlp", "MlpSpec",
-    "chi2_cdf", "normal_cdf", "regularized_lower_gamma",
-    "KernelSpec", "MEDIAN_HEURISTIC", "Mmd2Estimate", "kernel_eval",
-    "median_bandwidth", "mmd2_unbiased", "mmd2_unbiased_graph", "resolve_bandwidth",
-    "ConfigError", "DataError",
-    "ContaminationSpec", "LabeledDataset", "Normalizer", "OUTLIER", "SyntheticSpec",
-    "fit_normalizer", "gen_gaussian_classes", "inject_contamination",
-    "load_dataset_csv", "load_idx_dataset", "load_idx_images", "load_idx_labels",
-    "save_dataset_csv", "split_stratified",
-    "ClassFlowModel", "FlowArchitecture", "LatentSpec", "TrainConfig", "TrainTrace",
-    "build_class_flow", "encode", "generate", "load_class_flow",
-    "loss_cycle", "loss_forward_gan", "loss_latent_mmd", "loss_pred_finetune",
-    "sample_latent", "save_class_flow", "train_class_flow",
-    "ConformalConfig", "OUTLIER_TOKEN", "P_VALUE_MODES", "PredictiveSet",
-    "PValueVector", "ScorePool", "build_score_pool", "is_outlier",
-    "nonconformity_score", "nonconformity_scores", "p_value", "p_value_matrix",
-    "p_values_all", "predictive_set",
-    "ApsCalibration", "ClassifierConfig", "SoftmaxClassifier",
-    "aps_calibrate", "aps_set", "scaling_set", "train_softmax_classifier",
-    "EvalReport", "KsResult", "build_report", "chi2_moment_check", "coverage",
-    "empirical_type1", "ks_statistic", "ks_uniformity",
-    "size_error_excess", "size_error_paper",
-]

@@ -1,6 +1,7 @@
 """Classifier-based predictive-set baselines: probability scaling and APS.
 
-Both consume per-class probability rows from a shared softmax classifier.
+Both consume an (n, L) probability matrix from a shared softmax classifier
+and return a boolean (n, L) membership matrix with the same columns.
 Scaling adds classes in descending probability until the retained mass
 reaches 1 - alpha. APS calibrates a mass threshold on held-out labeled rows:
 the calibration score of a row is the cumulative sorted probability through
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .conformal import PredictiveSet
+from ._table import FLOAT, read_table, write_table
 from .errors import ConfigError, DataError
 from .nn import Adam, Mlp, MlpSpec
 
@@ -115,39 +116,40 @@ def train_softmax_classifier(
     return SoftmaxClassifier(net, class_labels)
 
 
-def _check_prob_row(row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.size == 0:
-        raise DataError("probability row is empty")
-    if np.any(row < -_PROB_TOL) or np.any(row > 1 + _PROB_TOL):
-        raise DataError(f"probabilities must lie in [0, 1], got {row}")
-    if abs(row.sum() - 1.0) > _PROB_TOL:
-        raise DataError(f"probability row sums to {row.sum()}, expected 1")
-    return np.clip(row, 0.0, 1.0)
+def _check_probs(probs: np.ndarray) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise DataError(f"probabilities must be an (n, L) matrix, got shape {probs.shape}")
+    if np.any(probs < -_PROB_TOL) or np.any(probs > 1 + _PROB_TOL):
+        raise DataError("probabilities must lie in [0, 1]")
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > _PROB_TOL
+    if off.any():
+        raise DataError(f"probability row {int(np.argmax(off))} sums to {sums[off][0]}, expected 1")
+    return np.clip(probs, 0.0, 1.0)
 
 
-def _descending_order(row: np.ndarray) -> np.ndarray:
-    # stable sort on negated values: ties break toward the lower column index
-    return np.argsort(-row, kind="stable")
+def _sorted_mass(probs: np.ndarray):
+    """Columns by descending probability (ties toward the lower column) and running mass."""
+    order = np.argsort(-probs, axis=1, kind="stable")
+    return order, np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
 
 
-def scaling_set(row: np.ndarray, class_labels, alpha: float) -> PredictiveSet:
+def _mass_set(probs: np.ndarray, level: float) -> np.ndarray:
+    """Top classes of each row through the first whose running mass reaches ``level``."""
+    order, mass = _sorted_mass(_check_probs(probs))
+    reached = mass >= level
+    keep = np.cumsum(reached, axis=1) - reached == 0
+    member = np.zeros(keep.shape, dtype=bool)
+    np.put_along_axis(member, order, keep, axis=1)
+    return member
+
+
+def scaling_set(probs: np.ndarray, alpha: float) -> np.ndarray:
     """Top classes until retained probability mass reaches 1 - alpha; never empty."""
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"alpha must lie in [0, 1), got {alpha}")
-    row = _check_prob_row(row)
-    labels = tuple(int(v) for v in class_labels)
-    if len(labels) != row.size:
-        raise DataError(f"{row.size} probabilities for {len(labels)} labels")
-    order = _descending_order(row)
-    total = 0.0
-    keep = []
-    for j in order:
-        keep.append(labels[j])
-        total += row[j]
-        if total >= 1.0 - alpha:
-            break
-    return PredictiveSet(tuple(keep))
+    return _mass_set(probs, 1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -177,20 +179,14 @@ def aps_calibrate(probs: np.ndarray, labels: np.ndarray, class_labels,
         raise DataError("calibration probabilities and labels must be non-empty and aligned")
     if probs.shape[1] != len(class_labels):
         raise DataError(f"{probs.shape[1]} columns for {len(class_labels)} labels")
-    col = {label: j for j, label in enumerate(class_labels)}
-    scores = np.empty(probs.shape[0])
-    for i in range(probs.shape[0]):
-        row = _check_prob_row(probs[i])
-        true_col = col.get(int(y[i]))
-        if true_col is None:
-            raise DataError(f"calibration label {int(y[i])} not among {class_labels}")
-        order = _descending_order(row)
-        csum = 0.0
-        for j in order:
-            csum += row[j]
-            if j == true_col:
-                break
-        scores[i] = csum
+    probs = _check_probs(probs)
+    is_true = y[:, None] == np.asarray(class_labels)[None, :]
+    unknown = ~is_true.any(axis=1)
+    if unknown.any():
+        raise DataError(f"calibration label {int(y[unknown][0])} not among {class_labels}")
+    order, mass = _sorted_mass(probs)
+    true_col = np.argmax(is_true, axis=1)
+    scores = mass[np.arange(y.size), np.argmax(order == true_col[:, None], axis=1)]
     n = scores.size
     k = int(np.ceil((n + 1) * (1.0 - alpha)))
     if k > n:
@@ -200,62 +196,23 @@ def aps_calibrate(probs: np.ndarray, labels: np.ndarray, class_labels,
     return ApsCalibration(threshold=threshold, n_cal=n, alpha=alpha)
 
 
-def aps_set(row: np.ndarray, class_labels, cal: ApsCalibration) -> PredictiveSet:
+def aps_set(probs: np.ndarray, cal: ApsCalibration) -> np.ndarray:
     """Top classes until cumulative mass reaches the calibrated threshold."""
-    row = _check_prob_row(row)
-    labels = tuple(int(v) for v in class_labels)
-    if len(labels) != row.size:
-        raise DataError(f"{row.size} probabilities for {len(labels)} labels")
-    order = _descending_order(row)
-    total = 0.0
-    keep = []
-    for j in order:
-        keep.append(labels[j])
-        total += row[j]
-        if total >= cal.threshold:
-            break
-    return PredictiveSet(tuple(keep))
+    return _mass_set(probs, cal.threshold)
 
 
 # -- CSV round-trip ---------------------------------------------------------------
 
-def save_prob_matrix(path: str, class_labels, matrix: np.ndarray, sample_ids=None) -> None:
+def save_prob_matrix(path: str, class_labels, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     labels = [int(v) for v in class_labels]
     if matrix.ndim != 2 or matrix.shape[1] != len(labels):
         raise DataError(f"probability matrix shape {matrix.shape} != (n, {len(labels)})")
-    if sample_ids is None:
-        sample_ids = range(matrix.shape[0])
-    cols = ",".join(f"p_{v}" for v in labels)
-    lines = [f"sample_id,{cols}"]
-    for sid, row in zip(sample_ids, matrix):
-        vals = ",".join(format(v, ".17g") for v in row)
-        lines.append(f"{int(sid)},{vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["sample_id", *(f"p_{v}" for v in labels)],
+                [np.arange(matrix.shape[0]), *matrix.T], ["%d"] + [FLOAT] * len(labels))
 
 
 def load_prob_matrix(path: str):
     """Returns (class_labels, sample_ids, matrix); rows must sum to 1."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "sample_id" or len(header) < 2:
-            raise DataError(f"{path}: malformed probability header {header!r}")
-        labels = []
-        for colname in header[1:]:
-            if not colname.startswith("p_"):
-                raise DataError(f"{path}: malformed probability column {colname!r}")
-            labels.append(int(colname[2:]))
-        ids = []
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}:{ln}: expected {len(header)} fields")
-            ids.append(int(parts[0]))
-            row = np.asarray([float(v) for v in parts[1:]])
-            rows.append(_check_prob_row(row))
-    return tuple(labels), np.asarray(ids, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+    labels, (ids, matrix) = read_table(path, ("sample_id",), (int,), prefix="p_")
+    return labels, ids, _check_probs(matrix)

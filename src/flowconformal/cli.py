@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
-    ApsCalibration,
     ClassifierConfig,
     aps_calibrate,
     aps_set,
@@ -45,10 +44,9 @@ from .conformal import (
     build_score_pool,
     load_p_values,
     load_pools,
-    load_sets,
+    load_set_matrix,
     p_value_matrix,
     predictive_set,
-    PValueVector,
     save_p_values,
     save_pools,
     save_sets,
@@ -68,7 +66,7 @@ from .datasets import (
     split_stratified,
 )
 from .errors import ConfigError, DataError
-from .evaluation import build_report, emit_histogram, emit_report
+from .evaluation import build_report, emit_comparison, emit_histogram, emit_report
 from .nn import to_json
 from .roundtrip import (
     FlowArchitecture,
@@ -472,12 +470,10 @@ def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
     test = load_dataset_csv(test_path)
     feats = _apply_norm(norm, test.features)
     labels, matrix = p_value_matrix(models, pools, feats, cfg.conformal.p_value_mode)
-    sets = [predictive_set(PValueVector(labels, row), cfg.conformal.alpha)
-            for row in matrix]
     pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
     save_p_values(pv_path, labels, matrix)
     set_path = cfg.path("predictions", f"sets_{token}.csv")
-    save_sets(set_path, sets)
+    save_sets(set_path, labels, predictive_set(matrix, cfg.conformal.alpha))
     return [pv_path, set_path]
 
 
@@ -506,17 +502,11 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
     return written
 
 
-def _baseline_report(sets, labels, alpha, class_labels):
-    return build_report(sets, labels, alpha, class_labels=class_labels)
-
-
 def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     written = []
     alpha = cfg.conformal.alpha
     comparison_rows = []
-
-    class_order = None
     for rate in cfg.rates:
         token = cfg.rate_token(rate)
         test = load_dataset_csv(cfg.test_csv(rate))
@@ -525,10 +515,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
         if not (os.path.exists(pv_path) and os.path.exists(set_path)):
             raise DataError(f"predictions missing for rate {rate}; run predict first")
         labels, _, matrix = load_p_values(pv_path)
-        _, sets = load_sets(set_path)
-        if len(sets) != test.n or matrix.shape[0] != test.n:
+        sets = load_set_matrix(set_path, labels)
+        if sets.shape[0] != test.n or matrix.shape[0] != test.n:
             raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
-        class_order = labels
         report = build_report(sets, test.labels, alpha,
                               class_labels=labels, p_matrix=matrix)
         rp = cfg.path("reports", f"report_flow_{token}.json")
@@ -542,24 +531,16 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
             written.append(hp)
 
     if cfg.baselines_enabled:
-        written.extend(_evaluate_baselines(cfg, class_order, comparison_rows))
+        written.extend(_evaluate_baselines(cfg, comparison_rows))
 
     cmp_path = cfg.path("reports", "comparison.csv")
-    lines = ["method,rate,coverage,size_error_paper,size_error_excess"]
-    for method, rate, report in comparison_rows:
-        lines.append(
-            f"{method},{format(rate, 'g')},{format(report.coverage, '.6f')},"
-            f"{format(report.size_error_paper, '.6f')},"
-            f"{format(report.size_error_excess, '.6f')}"
-        )
-    with open(cmp_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    emit_comparison(comparison_rows, cmp_path)
     written.append(cmp_path)
     _finish_stage(cfg, "evaluate", written)
     return written
 
 
-def _evaluate_baselines(cfg: ExperimentConfig, class_order, comparison_rows) -> list[str]:
+def _evaluate_baselines(cfg: ExperimentConfig, comparison_rows) -> list[str]:
     train = load_dataset_csv(cfg.path("data", "train.csv"))
     calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
     norm = _load_normalizer(cfg)
@@ -584,12 +565,10 @@ def _evaluate_baselines(cfg: ExperimentConfig, class_order, comparison_rows) -> 
         pp = cfg.path("predictions", f"probs_{token}.csv")
         save_prob_matrix(pp, class_labels, probs)
         written.append(pp)
-        for method, make in (
-            ("scaling", lambda row: scaling_set(row, class_labels, cfg.conformal.alpha)),
-            ("aps", lambda row: aps_set(row, class_labels, cal)),
-        ):
-            sets = [make(row) for row in probs]
-            report = _baseline_report(sets, test.labels, cfg.conformal.alpha, class_labels)
+        for method, sets in (("scaling", scaling_set(probs, cfg.conformal.alpha)),
+                             ("aps", aps_set(probs, cal))):
+            report = build_report(sets, test.labels, cfg.conformal.alpha,
+                                  class_labels=class_labels)
             rp = cfg.path("reports", f"report_{method}_{token}.json")
             emit_report(report, rp)
             written.append(rp)

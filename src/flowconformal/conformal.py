@@ -11,7 +11,9 @@ built from each class's own training rows. Two p-value modes are provided:
   can reach 0 and rejects small scores instead of large ones.
 
 A test row's predictive set collects every class whose p-value is at least
-alpha; an empty set flags the row as an outlier.
+alpha; an empty set flags the row as an outlier. Over n rows and L classes the
+sets form one boolean (n, L) membership matrix whose columns follow the class
+labels of the p-value matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import FLOAT, read_table, write_table
 from .errors import ConfigError, DataError
 from .roundtrip import ClassFlowModel, encode
 
@@ -27,22 +30,18 @@ __all__ = [
     "P_VALUE_MODES",
     "ConformalConfig",
     "ScorePool",
-    "PValueVector",
-    "PredictiveSet",
     "nonconformity_scores",
-    "nonconformity_score",
     "build_score_pool",
     "p_value",
-    "p_values_all",
     "p_value_matrix",
     "predictive_set",
-    "is_outlier",
     "save_pools",
     "load_pools",
     "save_p_values",
     "load_p_values",
     "save_sets",
     "load_sets",
+    "load_set_matrix",
 ]
 
 P_VALUE_MODES = ("smoothed", "paper-literal")
@@ -68,11 +67,6 @@ def nonconformity_scores(model: ClassFlowModel, x: np.ndarray) -> np.ndarray:
     """Squared norms of the latent encodings of the rows of ``x``."""
     z = encode(model, x)
     return (z * z).sum(axis=1)
-
-
-def nonconformity_score(model: ClassFlowModel, x_row: np.ndarray) -> float:
-    x_row = np.asarray(x_row, dtype=np.float64).ravel()
-    return float(nonconformity_scores(model, x_row[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -126,58 +120,6 @@ def p_value(pool: ScorePool, t_new: float, mode: str = "smoothed") -> float:
     return float(_p_from_sorted(pool.scores, np.float64(t_new), mode))
 
 
-@dataclass(frozen=True)
-class PValueVector:
-    """Per-class p-values for one sample, aligned with ``labels``."""
-
-    labels: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        labels = tuple(int(v) for v in self.labels)
-        if len(labels) != values.size or values.ndim != 1 or not labels:
-            raise DataError("labels and values must align and be non-empty")
-        if len(set(labels)) != len(labels):
-            raise DataError(f"duplicate class labels {labels}")
-        if not np.all((values >= 0) & (values <= 1)):
-            raise DataError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-
-    def value_for(self, label: int) -> float:
-        try:
-            return float(self.values[self.labels.index(label)])
-        except ValueError:
-            raise KeyError(f"no p-value for class {label}") from None
-
-
-@dataclass(frozen=True)
-class PredictiveSet:
-    """Classes whose p-value clears alpha; empty means outlier."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        labels = tuple(sorted(int(v) for v in self.labels))
-        if len(set(labels)) != len(labels):
-            raise DataError(f"duplicate labels in predictive set {labels}")
-        if any(v <= 0 for v in labels):
-            raise DataError("predictive sets contain positive class labels only")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def is_outlier(self) -> bool:
-        return not self.labels
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def __contains__(self, label: int) -> bool:
-        return int(label) in self.labels
-
-
 def _check_aligned(models, pools) -> None:
     if len(models) != len(pools) or not models:
         raise ConfigError("need one pool per model, at least one of each")
@@ -187,17 +129,6 @@ def _check_aligned(models, pools) -> None:
                 f"model for class {model.class_label} paired with pool for class "
                 f"{pool.class_label}"
             )
-
-
-def p_values_all(models, pools, x_row: np.ndarray, mode: str = "smoothed") -> PValueVector:
-    """P-values of one sample against every class, in the given class order."""
-    _check_aligned(models, pools)
-    x_row = np.asarray(x_row, dtype=np.float64).ravel()
-    values = [
-        p_value(pool, nonconformity_score(model, x_row), mode)
-        for model, pool in zip(models, pools)
-    ]
-    return PValueVector(tuple(m.class_label for m in models), np.asarray(values))
 
 
 def p_value_matrix(models, pools, x: np.ndarray, mode: str = "smoothed"):
@@ -210,123 +141,84 @@ def p_value_matrix(models, pools, x: np.ndarray, mode: str = "smoothed"):
     return labels, np.asarray(cols, dtype=np.float64).T
 
 
-def predictive_set(pv: PValueVector, alpha: float) -> PredictiveSet:
-    """{class : pi_class >= alpha}; empty set flags an outlier."""
+def predictive_set(p_matrix: np.ndarray, alpha: float) -> np.ndarray:
+    """Boolean (n, L) membership {class : pi_class >= alpha}; an all-False row is an outlier."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    keep = [label for label, v in zip(pv.labels, pv.values) if v >= alpha]
-    return PredictiveSet(tuple(keep))
-
-
-def is_outlier(ps: PredictiveSet) -> bool:
-    """True iff the predictive set is empty."""
-    return ps.is_outlier
+    return np.asarray(p_matrix, dtype=np.float64) >= alpha
 
 
 # -- CSV round-trips ---------------------------------------------------------------
 
 def save_pools(pools, path: str) -> None:
-    lines = ["class,score"]
-    for pool in pools:
-        for s in pool.scores:
-            lines.append(f"{pool.class_label},{format(s, '.17g')}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("class", "score"),
+                [np.concatenate([np.full(p.size, p.class_label) for p in pools]),
+                 np.concatenate([p.scores for p in pools])], ("%d", FLOAT))
 
 
 def load_pools(path: str) -> list[ScorePool]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "class,score":
-            raise DataError(f"{path}: expected header 'class,score', got {header!r}")
-        by_class: dict[int, list[float]] = {}
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{ln}: expected 2 fields, got {len(parts)}")
-            try:
-                by_class.setdefault(int(parts[0]), []).append(float(parts[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from exc
-    if not by_class:
+    _, (classes, scores) = read_table(path, ("class", "score"), (int, float))
+    if not classes.size:
         raise DataError(f"{path}: no score rows")
-    return [ScorePool(label, np.asarray(by_class[label]))
-            for label in sorted(by_class)]
+    return [ScorePool(int(label), scores[classes == label]) for label in np.unique(classes)]
 
 
-def save_p_values(path: str, labels, matrix: np.ndarray, sample_ids=None) -> None:
+def save_p_values(path: str, labels, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     labels = [int(v) for v in labels]
     if matrix.ndim != 2 or matrix.shape[1] != len(labels):
         raise DataError(f"p-value matrix shape {matrix.shape} != (n, {len(labels)})")
-    if sample_ids is None:
-        sample_ids = range(matrix.shape[0])
-    cols = ",".join(f"pi_{v}" for v in labels)
-    lines = [f"sample_id,{cols}"]
-    for sid, row in zip(sample_ids, matrix):
-        vals = ",".join(format(v, ".17g") for v in row)
-        lines.append(f"{int(sid)},{vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["sample_id", *(f"pi_{v}" for v in labels)],
+                [np.arange(matrix.shape[0]), *matrix.T], ["%d"] + [FLOAT] * len(labels))
 
 
 def load_p_values(path: str):
     """Returns (labels, sample_ids, matrix)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "sample_id" or len(header) < 2:
-            raise DataError(f"{path}: malformed p-value header {header!r}")
-        labels = []
-        for col in header[1:]:
-            if not col.startswith("pi_"):
-                raise DataError(f"{path}: malformed p-value column {col!r}")
-            labels.append(int(col[3:]))
-        ids = []
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}:{ln}: expected {len(header)} fields")
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return tuple(labels), np.asarray(ids, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+    labels, (ids, matrix) = read_table(path, ("sample_id",), (int,), prefix="pi_")
+    return labels, ids, matrix
 
 
-def save_sets(path: str, sets, sample_ids=None) -> None:
-    if sample_ids is None:
-        sample_ids = range(len(sets))
-    lines = ["sample_id,set"]
-    for sid, ps in zip(sample_ids, sets):
-        token = OUTLIER_TOKEN if ps.is_outlier else "|".join(str(v) for v in ps.labels)
-        lines.append(f"{int(sid)},{token}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def save_sets(path: str, labels, member: np.ndarray) -> None:
+    """One row per membership row: its labels joined by '|', or OUTLIER when empty."""
+    labels = np.asarray(labels, dtype=np.int64)
+    member = np.asarray(member, dtype=bool)
+    if member.ndim != 2 or member.shape[1] != labels.size:
+        raise DataError(f"membership shape {member.shape} != (n, {labels.size})")
+    distinct, row_of = np.unique(member, axis=0, return_inverse=True)
+    tokens = ["|".join(map(str, labels[keep].tolist())) or OUTLIER_TOKEN for keep in distinct]
+    write_table(path, ("sample_id", "set"),
+                [np.arange(member.shape[0]), np.asarray(tokens, dtype=object)[row_of.ravel()]],
+                ("%d", "%s"))
+
+
+def _set_token(token: str) -> str:
+    if token == OUTLIER_TOKEN:
+        return token
+    if not token:
+        raise ValueError(f"empty set field; expected {OUTLIER_TOKEN}")
+    labels = [int(v) for v in token.split("|")]
+    if min(labels) <= 0 or len(set(labels)) != len(labels):
+        raise ValueError(f"set {token!r} needs distinct positive class labels")
+    return token
 
 
 def load_sets(path: str):
-    """Returns (sample_ids, list of PredictiveSet)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "sample_id,set":
-            raise DataError(f"{path}: expected header 'sample_id,set', got {header!r}")
-        ids = []
-        sets = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            sid, _, token = line.partition(",")
-            ids.append(int(sid))
-            if token == OUTLIER_TOKEN:
-                sets.append(PredictiveSet(()))
-            elif token:
-                sets.append(PredictiveSet(tuple(int(v) for v in token.split("|"))))
-            else:
-                raise DataError(f"{path}:{ln}: empty set field; expected {OUTLIER_TOKEN}")
-    return np.asarray(ids, dtype=np.int64), sets
+    """Returns (labels, sample_ids, membership); labels are every class named, ascending."""
+    _, (ids, tokens) = read_table(path, ("sample_id", "set"), (int, _set_token))
+    distinct, row_of = np.unique(np.asarray(tokens, dtype=str), return_inverse=True)
+    named = [set() if t == OUTLIER_TOKEN else {int(v) for v in t.split("|")} for t in distinct]
+    labels = tuple(sorted(set().union(*named)))
+    table = np.asarray([[v in s for v in labels] for s in named], dtype=bool)
+    return labels, ids, table.reshape(len(named), len(labels))[row_of]
+
+
+def load_set_matrix(path: str, labels) -> np.ndarray:
+    """The sets at ``path`` as an (n, len(labels)) membership matrix whose
+    columns follow ``labels``; a set naming a class outside them is an error."""
+    labels = [int(v) for v in labels]
+    named, _, member = load_sets(path)
+    if not set(named) <= set(labels):
+        raise DataError(f"{path} names classes outside {tuple(labels)}")
+    sets = np.zeros((member.shape[0], len(labels)), dtype=bool)
+    sets[:, [labels.index(v) for v in named]] = member
+    return sets

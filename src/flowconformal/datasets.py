@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import FLOAT, read_table, write_table
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -353,38 +354,12 @@ def fit_normalizer(features: np.ndarray) -> Normalizer:
 # -- CSV round-trips --------------------------------------------------------------
 
 def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
-    cols = ",".join(f"f_{j + 1}" for j in range(ds.dim))
-    lines = [f"label,{cols}"]
-    for label, row in zip(ds.labels, ds.features):
-        vals = ",".join(format(v, ".17g") for v in row)
-        lines.append(f"{int(label)},{vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["label", *(f"f_{j + 1}" for j in range(ds.dim))],
+                [ds.labels, *ds.features.T], ["%d"] + [FLOAT] * ds.dim)
 
 
 def load_dataset_csv(path: str) -> LabeledDataset:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fields = header.split(",")
-        if not fields or fields[0] != "label":
-            raise DataError(f"{path}: expected header starting with 'label', got {header!r}")
-        p = len(fields) - 1
-        if p < 1 or fields[1:] != [f"f_{j + 1}" for j in range(p)]:
-            raise DataError(f"{path}: malformed feature columns in header {header!r}")
-        labels = []
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != p + 1:
-                raise DataError(f"{path}:{ln}: expected {p + 1} fields, got {len(parts)}")
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from exc
-    if not rows:
-        return LabeledDataset(np.empty((0, p)), np.empty(0, dtype=np.int64))
-    return LabeledDataset(np.asarray(rows), np.asarray(labels, dtype=np.int64))
+    cols, (labels, features) = read_table(path, ("label",), (int,), prefix="f_")
+    if list(cols) != list(range(1, len(cols) + 1)):
+        raise DataError(f"{path}: malformed feature columns {cols}; expected f_1..f_{len(cols)}")
+    return LabeledDataset(features, labels)

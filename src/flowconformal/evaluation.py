@@ -1,12 +1,14 @@
 """Evaluation metrics: coverage, size errors, p-value uniformity, chi-square
-moment checks, and report/histogram emission.
+moment checks, and report/histogram/comparison emission.
 
-Coverage counts a test point as covered when its true class is in the
-predictive set (inliers) or the set is empty (outliers). Two size-error
-conventions are reported: ``size_error_paper`` is the literal mean of
-|set| - 1{outlier} (which scores 1, not 0, for ideal singleton inlier sets
-and can go negative on outliers), and ``size_error_excess`` charges
-|set| - 1 on inliers and |set| on outliers so the ideal value is 0.
+Predictive sets arrive as a boolean (n, L) membership matrix whose columns
+follow the class labels. Coverage counts a test point as covered when its
+true class is in the predictive set (inliers) or the set is empty
+(outliers). Two size-error conventions are reported: ``size_error_paper``
+is the literal mean of |set| - 1{outlier} (which scores 1, not 0, for ideal
+singleton inlier sets and can go negative on outliers), and
+``size_error_excess`` charges |set| - 1 on inliers and |set| on outliers so
+the ideal value is 0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import FLOAT, write_table
 from .datasets import OUTLIER
 from .errors import ConfigError, DataError
 from .nn import to_json
@@ -36,48 +39,44 @@ __all__ = [
     "build_report",
     "emit_report",
     "emit_histogram",
+    "emit_comparison",
 ]
 
 
-def _check_aligned(sets, labels) -> np.ndarray:
+def _check_aligned(sets, labels):
+    sets = np.asarray(sets, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or len(sets) != labels.shape[0]:
+    if sets.ndim != 2 or labels.ndim != 1 or sets.shape[0] != labels.shape[0]:
         raise DataError(
-            f"got {len(sets)} predictive sets for {labels.shape[0]} labels"
+            f"predictive sets of shape {sets.shape} do not align with {labels.shape[0]} labels"
         )
     if labels.shape[0] == 0:
         raise DataError("need at least one test point")
-    return labels
+    return sets, labels
 
 
-def coverage(sets, labels) -> float:
-    """Mean of [inlier and label in set] + [outlier and empty set]."""
-    labels = _check_aligned(sets, labels)
-    hits = 0
-    for ps, label in zip(sets, labels):
-        if label == OUTLIER:
-            hits += ps.is_outlier
-        else:
-            hits += int(label) in ps
-    return hits / labels.shape[0]
+def coverage(sets, labels, class_labels) -> float:
+    """Mean of [inlier and label in set] + [outlier and empty set]; the
+    columns of ``sets`` follow ``class_labels``."""
+    sets, labels = _check_aligned(sets, labels)
+    class_labels = np.asarray(class_labels, dtype=np.int64)
+    if class_labels.ndim != 1 or sets.shape[1] != class_labels.size:
+        raise DataError(f"predictive sets of shape {sets.shape} for {class_labels.size} classes")
+    own = labels[:, None] == class_labels[None, :]
+    hits = np.where(labels == OUTLIER, ~sets.any(axis=1), (sets & own).any(axis=1))
+    return int(hits.sum()) / labels.shape[0]
 
 
 def size_error_paper(sets, labels) -> float:
     """Literal mean of |set| - 1{outlier}; may be negative."""
-    labels = _check_aligned(sets, labels)
-    total = 0.0
-    for ps, label in zip(sets, labels):
-        total += ps.size - (1 if label == OUTLIER else 0)
-    return total / labels.shape[0]
+    sets, labels = _check_aligned(sets, labels)
+    return int((sets.sum(axis=1) - (labels == OUTLIER)).sum()) / labels.shape[0]
 
 
 def size_error_excess(sets, labels) -> float:
     """Mean of |set| - 1 on inliers and |set| on outliers; 0 is ideal."""
-    labels = _check_aligned(sets, labels)
-    total = 0.0
-    for ps, label in zip(sets, labels):
-        total += ps.size if label == OUTLIER else ps.size - 1
-    return total / labels.shape[0]
+    sets, labels = _check_aligned(sets, labels)
+    return int((sets.sum(axis=1) - (labels != OUTLIER)).sum()) / labels.shape[0]
 
 
 # -- uniformity and distributional checks ---------------------------------------
@@ -92,12 +91,15 @@ class KsResult:
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between a sample and a CDF."""
+    """Two-sided Kolmogorov-Smirnov distance between a sample and a CDF.
+
+    ``cdf`` maps the sorted sample, as one array, to its CDF values.
+    """
     x = np.sort(np.asarray(sample, dtype=np.float64))
     n = x.size
     if n == 0:
         raise DataError("KS statistic needs a non-empty sample")
-    f = np.asarray([cdf(v) for v in x], dtype=np.float64)
+    f = np.asarray(cdf(x), dtype=np.float64)
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -117,7 +119,7 @@ def ks_uniformity(p_values: np.ndarray, level: float = 0.01) -> KsResult:
         raise DataError(f"uniformity test needs at least 20 p-values, got {x.size}")
     if np.any((x < 0) | (x > 1)):
         raise DataError("p-values must lie in [0, 1]")
-    stat = ks_statistic(x, lambda v: min(max(v, 0.0), 1.0))
+    stat = ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0))
     crit = ks_critical_value(x.size, level)
     return KsResult(stat, int(x.size), level, crit, stat > crit)
 
@@ -145,7 +147,7 @@ def chi2_moment_check(scores: np.ndarray, d: int, level: float = 0.01) -> Chi2Mo
     x = np.asarray(scores, dtype=np.float64)
     if x.ndim != 1 or x.size < 100:
         raise DataError(f"moment check needs at least 100 scores, got {x.size}")
-    stat = ks_statistic(x, lambda v: chi2_cdf(float(v), d))
+    stat = ks_statistic(x, lambda xs: [chi2_cdf(float(v), d) for v in xs])
     crit = ks_critical_value(x.size, level)
     ks = KsResult(stat, int(x.size), level, crit, stat > crit)
     return Chi2MomentReport(float(x.mean()), float(x.var(ddof=1)), ks, d)
@@ -180,22 +182,23 @@ def build_report(sets, labels, alpha: float,
                  ks_level: float = 0.01) -> EvalReport:
     """Assemble the full metric report for one test arm.
 
-    When a p-value matrix is available (columns aligned with class_labels),
-    per-class type-I rates and KS uniformity checks come from the p-values of
-    each class's own test rows; otherwise type-I rates fall back to set
-    membership and the KS section stays empty.
+    The columns of the membership matrix ``sets`` and of ``p_matrix`` follow
+    ``class_labels`` (default: the inlier labels present, ascending). With a
+    p-value matrix, per-class type-I rates and KS uniformity checks come from
+    the p-values of each class's own test rows; otherwise type-I rates fall
+    back to set membership and the KS section stays empty.
     """
-    labels = _check_aligned(sets, labels)
+    sets, labels = _check_aligned(sets, labels)
     inlier = labels != OUTLIER
-    report = EvalReport(
-        coverage=coverage(sets, labels),
-        size_error_paper=size_error_paper(sets, labels),
-        size_error_excess=size_error_excess(sets, labels),
-    )
     if class_labels is None:
         class_labels = tuple(int(v) for v in np.unique(labels[inlier]))
     else:
         class_labels = tuple(int(v) for v in class_labels)
+    report = EvalReport(
+        coverage=coverage(sets, labels, class_labels),
+        size_error_paper=size_error_paper(sets, labels),
+        size_error_excess=size_error_excess(sets, labels),
+    )
 
     if p_matrix is not None:
         p_matrix = np.asarray(p_matrix, dtype=np.float64)
@@ -219,15 +222,13 @@ def build_report(sets, labels, alpha: float,
                     {"class": cls, "stat": res.statistic, "reject": res.reject}
                 )
         else:
-            miss = [cls not in ps for ps, is_own in zip(sets, own) if is_own]
             report.type1_per_class.append(
-                {"class": cls, "rate": float(np.mean(miss))}
+                {"class": cls, "rate": float(np.mean(~sets[own, j]))}
             )
 
     n_out = int(np.sum(~inlier))
     if n_out > 0:
-        detected = [ps.is_outlier for ps, is_in in zip(sets, inlier) if not is_in]
-        report.outlier_detection_rate = float(np.mean(detected))
+        report.outlier_detection_rate = float(np.mean(~sets[~inlier].any(axis=1)))
     per_class = {str(cls): int(np.sum(labels == cls)) for cls in class_labels}
     report.counts = {
         "n_test": int(labels.shape[0]),
@@ -247,15 +248,17 @@ def emit_histogram(p_values, path: str, bins: int = 20) -> None:
     """CSV histogram of p-values over [0, 1]: bin_left,bin_right,count."""
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    x = np.asarray(list(p_values), dtype=np.float64)
-    if x.size and np.any((x < 0) | (x > 1)):
+    x = np.asarray(p_values, dtype=np.float64)
+    if np.any((x < 0) | (x > 1)):
         raise DataError("p-values must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(x, bins=edges) if x.size else (np.zeros(bins, dtype=int), edges)
-    lines = ["bin_left,bin_right,count"]
-    for i in range(bins):
-        lines.append(
-            f"{format(edges[i], '.17g')},{format(edges[i + 1], '.17g')},{int(counts[i])}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("bin_left", "bin_right", "count"),
+                [edges[:-1], edges[1:], np.histogram(x, bins=edges)[0]], (FLOAT, FLOAT, "%d"))
+
+
+def emit_comparison(rows, path: str) -> None:
+    """CSV of (method, rate, EvalReport) rows: method,rate,coverage,size errors."""
+    cells = [(method, rate, rep.coverage, rep.size_error_paper, rep.size_error_excess)
+             for method, rate, rep in rows]
+    write_table(path, ("method", "rate", "coverage", "size_error_paper", "size_error_excess"),
+                list(zip(*cells)), ("%s", "%g", "%.6f", "%.6f", "%.6f"))

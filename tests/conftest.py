@@ -1,11 +1,20 @@
-"""Shared test fixtures: central finite-difference gradient oracles.
+"""Shared test fixtures: central finite-difference gradient oracles, and the
+hypothesis profile of the property tests.
 
 The gradient checks treat the tape engine as the object under test, so the
 oracle side never touches Tensor internals: it re-evaluates the loss as a
 plain function of flat parameter vectors.
+
+Property tests run without per-example deadlines, since wall time drifts
+widely from run to run on small shared machines, and derandomized, so a
+run draws the same examples every time.
 """
 
 import numpy as np
+from hypothesis import settings
+
+settings.register_profile("flowconformal", deadline=None, derandomize=True)
+settings.load_profile("flowconformal")
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5

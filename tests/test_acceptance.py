@@ -23,7 +23,6 @@ from flowconformal.baselines import (
     train_softmax_classifier,
 )
 from flowconformal.conformal import (
-    PValueVector,
     ScorePool,
     build_score_pool,
     p_value,
@@ -103,22 +102,20 @@ def _run_seed(seed: int) -> dict:
         arm = inject_contamination(
             test, ContaminationSpec(rate, out_pool, seed=seed + 40_000 + i))
         order, pmat = p_value_matrix(models, pools, arm.features)
-        sets = [predictive_set(PValueVector(order, row), ALPHA) for row in pmat]
-        res["flow"][rate] = coverage(sets, arm.labels)
+        sets = predictive_set(pmat, ALPHA)
+        res["flow"][rate] = coverage(sets, arm.labels, order)
         probs = clf.predict_proba(arm.features)
-        res["scaling"][rate] = coverage(
-            [scaling_set(row, clf.class_labels, ALPHA) for row in probs], arm.labels)
-        res["aps"][rate] = coverage(
-            [aps_set(row, clf.class_labels, cal) for row in probs], arm.labels)
+        res["scaling"][rate] = coverage(scaling_set(probs, ALPHA), arm.labels,
+                                        clf.class_labels)
+        res["aps"][rate] = coverage(aps_set(probs, cal), arm.labels, clf.class_labels)
         if rate == 0.0:
             res["own_p"] = {cls: pmat[arm.labels == cls, j]
                             for j, cls in enumerate(order)}
         else:
             inlier = arm.labels != 0
-            res["inlier_empty"] = float(np.mean(
-                [s.is_outlier for s, keep in zip(sets, inlier) if keep]))
-            res["detection"] = float(np.mean(
-                [s.is_outlier for s, keep in zip(sets, inlier) if not keep]))
+            empty = ~sets.any(axis=1)
+            res["inlier_empty"] = float(np.mean(empty[inlier]))
+            res["detection"] = float(np.mean(empty[~inlier]))
     return res
 
 
@@ -378,11 +375,11 @@ def test_08_baseline_hand_cases_and_aps_coverage(reference):
         bad.append(f"APS clean coverage {aps0:.4f} < 0.93")
 
     cls3 = (1, 2, 3)
-    if scaling_set(np.array([0.6, 0.3, 0.1]), cls3, 0.05).labels != (1, 2, 3):
+    if scaling_set(np.array([[0.6, 0.3, 0.1]]), 0.05).tolist() != [[True, True, True]]:
         bad.append("scaling (0.6,0.3,0.1) at alpha=0.05")
-    if scaling_set(np.array([0.97, 0.02, 0.01]), cls3, 0.05).labels != (1,):
+    if scaling_set(np.array([[0.97, 0.02, 0.01]]), 0.05).tolist() != [[True, False, False]]:
         bad.append("scaling (0.97,0.02,0.01) at alpha=0.05")
-    if scaling_set(np.array([0.25] * 4), (1, 2, 3, 4), 0.0).labels != (1, 2, 3, 4):
+    if not scaling_set(np.array([[0.25] * 4]), 0.0).all():
         bad.append("scaling uniform row at alpha=0")
 
     # rows put the true class on top, so each calibration score is a single
@@ -400,12 +397,12 @@ def test_08_baseline_hand_cases_and_aps_coverage(reference):
     if aps_calibrate(same, np.ones(4, dtype=np.int64), cls3, 0.25).threshold != 0.5:
         bad.append("APS threshold on identical scores != the common score")
 
-    row = np.array([0.5, 0.3, 0.2])
-    if aps_set(row, cls3, ApsCalibration(1.0, 4, 0.25)).labels != (1, 2, 3):
+    row = np.array([[0.5, 0.3, 0.2]])
+    if not aps_set(row, ApsCalibration(1.0, 4, 0.25)).all():
         bad.append("APS set at threshold 1 not full")
-    if aps_set(row, cls3, ApsCalibration(0.75, 4, 0.25)).labels != (1, 2):
+    if aps_set(row, ApsCalibration(0.75, 4, 0.25)).tolist() != [[True, True, False]]:
         bad.append("APS set (0.5,0.3,0.2) at threshold 0.75")
-    if aps_set(row, cls3, ApsCalibration(1e-9, 4, 0.25)).labels != (1,):
+    if aps_set(row, ApsCalibration(1e-9, 4, 0.25)).tolist() != [[True, False, False]]:
         bad.append("APS set at vanishing threshold not the top singleton")
 
     detail = (f"APS clean coverage {aps0:.4f} >= 0.93; all hand cases exact"
@@ -443,13 +440,12 @@ def test_09_conformal_hand_counts_and_super_uniformity():
     if ident.scores.tolist() != [0.0, 2.0, 25.0]:
         bad.append("identity-encoder pool [0, 2, 25]")
 
-    pv = PValueVector((1, 2, 3), np.array([0.9, 0.03, 0.2]))
-    if predictive_set(pv, 0.05).labels != (1, 3):
+    pv = np.array([[0.9, 0.03, 0.2]])
+    if predictive_set(pv, 0.05).tolist() != [[True, False, True]]:
         bad.append("set at (0.9,0.03,0.2), alpha=0.05")
-    low = PValueVector((1, 2, 3), np.array([0.01, 0.02, 0.04]))
-    if not predictive_set(low, 0.05).is_outlier:
+    if predictive_set(np.array([[0.01, 0.02, 0.04]]), 0.05).any():
         bad.append("all p below alpha should flag an outlier")
-    if predictive_set(pv, 1e-9).labels != (1, 2, 3):
+    if not predictive_set(pv, 1e-9).all():
         bad.append("set at alpha=1e-9 should hold every class")
 
     # super-uniformity: each row draws a fresh 19-score pool plus one test

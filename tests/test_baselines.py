@@ -1,12 +1,15 @@
 """Probability-scaling and cumulative-mass baselines plus the shared classifier.
 
 Oracles: hand-worked set constructions on exact binary-fraction probability
-rows, the order statistic defining the calibrated mass threshold, and the
-finite-sample coverage guarantee of the calibrated baseline.
+rows, the order statistic defining the calibrated mass threshold, the
+finite-sample coverage guarantee of the calibrated baseline, and per-row
+reference loops that the vectorized membership matrices must match exactly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowconformal.baselines import (
     ApsCalibration,
@@ -24,50 +27,53 @@ from flowconformal.errors import ConfigError, DataError
 # -- scaling sets -----------------------------------------------------------------
 
 def test_scaling_adds_classes_until_mass_reached():
-    ps = scaling_set(np.array([0.6, 0.3, 0.1]), (1, 2, 3), alpha=0.05)
-    assert ps.labels == (1, 2, 3)
+    assert scaling_set(np.array([[0.6, 0.3, 0.1]]), alpha=0.05).tolist() == [[True] * 3]
 
 
 def test_scaling_stops_at_first_sufficient_class():
-    ps = scaling_set(np.array([0.97, 0.02, 0.01]), (1, 2, 3), alpha=0.05)
-    assert ps.labels == (1,)
+    member = scaling_set(np.array([[0.97, 0.02, 0.01]]), alpha=0.05)
+    assert member.tolist() == [[True, False, False]]
 
 
 def test_scaling_alpha_zero_returns_every_class():
-    ps = scaling_set(np.array([0.25, 0.25, 0.25, 0.25]), (1, 2, 3, 4), alpha=0.0)
-    assert ps.labels == (1, 2, 3, 4)
+    assert scaling_set(np.full((1, 4), 0.25), alpha=0.0).all()
+
+
+def test_scaling_keeps_every_class_when_rounding_leaves_mass_short():
+    probs = np.full((1, 10), 0.1)
+    assert np.cumsum(probs)[-1] < 1.0
+    assert scaling_set(probs, alpha=0.0).all()
 
 
 def test_scaling_set_size_monotone_in_alpha():
-    row = np.array([0.4, 0.3, 0.2, 0.1])
-    sizes = [scaling_set(row, (1, 2, 3, 4), a).size
-             for a in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)]
+    probs = np.array([[0.4, 0.3, 0.2, 0.1]])
+    sizes = [int(scaling_set(probs, a).sum()) for a in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)]
     assert all(x >= y for x, y in zip(sizes, sizes[1:]))
 
 
 def test_scaling_never_empty():
     rng = np.random.default_rng(1)
-    for _ in range(25):
-        raw = rng.uniform(0.05, 1.0, size=4)
-        row = raw / raw.sum()
-        for a in (0.01, 0.5, 0.99):
-            assert scaling_set(row, (1, 2, 3, 4), a).size >= 1
+    raw = rng.uniform(0.05, 1.0, size=(25, 4))
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    for a in (0.01, 0.5, 0.99):
+        assert scaling_set(probs, a).any(axis=1).all()
 
 
 def test_scaling_ties_break_toward_lower_column():
-    ps = scaling_set(np.array([0.4, 0.4, 0.2]), (7, 3, 9), alpha=0.5)
-    assert ps.labels == (3, 7)
+    probs = np.array([[0.4, 0.4, 0.2]])
+    assert scaling_set(probs, alpha=0.5).tolist() == [[True, True, False]]
+    assert scaling_set(probs, alpha=0.6).tolist() == [[True, False, False]]
 
 
 def test_scaling_validation():
     with pytest.raises(ConfigError, match="alpha"):
-        scaling_set(np.array([1.0]), (1,), alpha=1.0)
+        scaling_set(np.array([[1.0]]), alpha=1.0)
     with pytest.raises(DataError, match="sums to"):
-        scaling_set(np.array([0.5, 0.4]), (1, 2), alpha=0.1)
+        scaling_set(np.array([[0.5, 0.4]]), alpha=0.1)
     with pytest.raises(DataError, match=r"\[0, 1\]"):
-        scaling_set(np.array([1.4, -0.4]), (1, 2), alpha=0.1)
-    with pytest.raises(DataError, match="labels"):
-        scaling_set(np.array([0.5, 0.5]), (1, 2, 3), alpha=0.1)
+        scaling_set(np.array([[1.4, -0.4]]), alpha=0.1)
+    with pytest.raises(DataError, match="matrix"):
+        scaling_set(np.array([0.5, 0.5]), alpha=0.1)
 
 
 # -- calibrated mass threshold ------------------------------------------------------
@@ -120,29 +126,92 @@ def test_aps_calibration_validation():
 
 def test_aps_set_accumulates_mass_to_threshold():
     cal = ApsCalibration(threshold=0.75, n_cal=10, alpha=0.1)
-    ps = aps_set(np.array([0.5, 0.3, 0.2]), (1, 2, 3), cal)
-    assert ps.labels == (1, 2)
+    assert aps_set(np.array([[0.5, 0.3, 0.2]]), cal).tolist() == [[True, True, False]]
 
 
 def test_aps_set_threshold_one_returns_every_class():
     cal = ApsCalibration(threshold=1.0, n_cal=10, alpha=0.1)
-    ps = aps_set(np.array([0.5, 0.3, 0.2]), (1, 2, 3), cal)
-    assert ps.labels == (1, 2, 3)
+    assert aps_set(np.array([[0.5, 0.3, 0.2]]), cal).all()
 
 
 def test_aps_set_small_threshold_returns_top_singleton():
     cal = ApsCalibration(threshold=0.01, n_cal=10, alpha=0.1)
-    ps = aps_set(np.array([0.2, 0.5, 0.3]), (1, 2, 3), cal)
-    assert ps.labels == (2,)
+    assert aps_set(np.array([[0.2, 0.5, 0.3]]), cal).tolist() == [[False, True, False]]
 
 
 def test_aps_set_never_empty():
     rng = np.random.default_rng(2)
     cal = ApsCalibration(threshold=0.5, n_cal=10, alpha=0.1)
-    for _ in range(25):
-        raw = rng.uniform(0.05, 1.0, size=3)
-        row = raw / raw.sum()
-        assert aps_set(row, (1, 2, 3), cal).size >= 1
+    raw = rng.uniform(0.05, 1.0, size=(25, 3))
+    assert aps_set(raw / raw.sum(axis=1, keepdims=True), cal).any(axis=1).all()
+
+
+# -- vectorized sets against per-row reference loops ---------------------------------
+
+def _oracle_mass_set(row, level):
+    """Columns in descending probability (stable) until the running mass reaches level."""
+    total = 0.0
+    keep = []
+    for j in np.argsort(-row, kind="stable"):
+        keep.append(j)
+        total += row[j]
+        if total >= level:
+            break
+    member = np.zeros(row.size, dtype=bool)
+    member[keep] = True
+    return member
+
+
+def _oracle_aps_calibrate(probs, labels, class_labels, alpha):
+    scores = []
+    for row, label in zip(probs, labels):
+        true_col = list(class_labels).index(label)
+        csum = 0.0
+        for j in np.argsort(-row, kind="stable"):
+            csum += row[j]
+            if j == true_col:
+                break
+        scores.append(csum)
+    n = len(scores)
+    k = int(np.ceil((n + 1) * (1.0 - alpha)))
+    return 1.0 if k > n else float(np.sort(scores)[k - 1])
+
+
+@st.composite
+def prob_matrices(draw, max_rows=20, max_cols=6):
+    # few distinct weights make tied rows common; normalized rows often sum
+    # to a hair below 1, so the last running mass can fall short of 1 - alpha
+    shape = draw(st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)))
+    raw = draw(arrays(np.float64, shape,
+                      elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.01, 10.0)))
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+alphas = st.sampled_from([0.0, 0.05, 0.2]) | st.floats(0.0, 0.99)
+
+
+@given(prob_matrices(), alphas)
+def test_scaling_set_equals_per_row_loop(probs, alpha):
+    expected = [_oracle_mass_set(row, 1.0 - alpha) for row in probs]
+    assert np.array_equal(scaling_set(probs, alpha), expected)
+
+
+@given(prob_matrices(), st.sampled_from([1.0, 0.5]) | st.floats(1e-9, 1.0))
+def test_aps_set_equals_per_row_loop(probs, threshold):
+    cal = ApsCalibration(threshold=threshold, n_cal=10, alpha=0.1)
+    expected = [_oracle_mass_set(row, threshold) for row in probs]
+    assert np.array_equal(aps_set(probs, cal), expected)
+
+
+@given(prob_matrices(), st.floats(0.01, 0.99), st.data())
+def test_aps_calibrate_equals_per_row_loop(probs, alpha, data):
+    class_labels = tuple(range(3, 3 + probs.shape[1]))
+    labels = data.draw(st.lists(st.sampled_from(class_labels),
+                                min_size=probs.shape[0], max_size=probs.shape[0]))
+    cal = aps_calibrate(probs, np.array(labels), class_labels, alpha)
+    assert cal.threshold == _oracle_aps_calibrate(probs, labels, class_labels, alpha)
+    assert cal.n_cal == probs.shape[0]
 
 
 # -- shared classifier -----------------------------------------------------------------
@@ -206,8 +275,8 @@ def test_aps_coverage_meets_finite_sample_guarantee():
     cal = aps_calibrate(clf.predict_proba(xc), yc, clf.class_labels, alpha)
     xt, yt = _two_class_data(1000, seed=13)
     probs = clf.predict_proba(xt)
-    sets = [aps_set(row, clf.class_labels, cal) for row in probs]
-    covered = float(np.mean([int(lab) in ps for ps, lab in zip(sets, yt)]))
+    member = aps_set(probs, cal)
+    covered = float(np.mean(member[np.arange(yt.size), yt - 1]))
     assert covered >= 1.0 - alpha - 0.02
 
 
@@ -216,10 +285,10 @@ def test_aps_coverage_meets_finite_sample_guarantee():
 def test_prob_matrix_roundtrip_exact(tmp_path):
     mat = np.array([[0.25, 0.75], [1.0 / 3.0, 2.0 / 3.0]])
     path = str(tmp_path / "probs.csv")
-    save_prob_matrix(path, (1, 2), mat, sample_ids=[5, 6])
+    save_prob_matrix(path, (1, 2), mat)
     labels, ids, back = load_prob_matrix(path)
     assert labels == (1, 2)
-    assert np.array_equal(ids, [5, 6])
+    assert np.array_equal(ids, [0, 1])
     assert np.array_equal(back, mat)
 
 

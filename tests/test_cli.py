@@ -6,13 +6,14 @@ re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
 import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from flowconformal.cli import ExperimentConfig, build_parser, load_config, main
-from flowconformal.conformal import load_p_values, load_sets
+from flowconformal.conformal import load_p_values, load_set_matrix
 from flowconformal.datasets import load_dataset_csv
 
 ALPHA = 0.05
@@ -180,12 +181,8 @@ def test_sets_re_derivable_from_p_values(pipeline):
     for token in ("c0", "c10"):
         labels, _, matrix = load_p_values(
             str(out / "predictions" / f"pvalues_{token}.csv"))
-        _, sets = load_sets(str(out / "predictions" / f"sets_{token}.csv"))
-        assert len(sets) == matrix.shape[0]
-        for row, ps in zip(matrix, sets):
-            expected = tuple(lab for lab, v in zip(labels, row) if v >= ALPHA)
-            assert ps.labels == expected
-            assert ps.is_outlier == bool(np.all(row < ALPHA))
+        member = load_set_matrix(str(out / "predictions" / f"sets_{token}.csv"), labels)
+        assert np.array_equal(member, matrix >= ALPHA)
 
 
 def test_outlier_token_written_iff_every_p_below_alpha(pipeline):
@@ -243,6 +240,24 @@ def test_comparison_table_layout(pipeline):
     for r in rows:
         assert 0.0 <= float(r[2]) <= 1.0
         float(r[3]), float(r[4])
+
+
+def test_evaluate_places_set_columns_by_class_label(pipeline, tmp_path):
+    # a sets file that never names class 1 still scores class 2 in its own column
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    labels = load_dataset_csv(str(copy / "data" / "test_c0.csv")).labels
+    tokens = ["2" if lab == 2 else "OUTLIER" for lab in labels]
+    (copy / "predictions" / "sets_c0.csv").write_text(
+        "sample_id,set\n" + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
+    assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
+                 "--baselines", "off"]) == 0
+    doc = json.loads((copy / "reports" / "report_flow_c0.json").read_text())
+    assert doc["coverage"] == float(np.mean(labels == 2))
+    (copy / "predictions" / "sets_c0.csv").write_text("sample_id,set\n0,7\n")
+    assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
+                 "--baselines", "off"]) == 2
 
 
 def test_baselines_off_limits_comparison_to_flow(tmp_path):

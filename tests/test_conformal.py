@@ -8,22 +8,20 @@ that must rank-agree with conformal p-values in one dimension.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowconformal.conformal import (
     ConformalConfig,
-    PredictiveSet,
-    PValueVector,
     ScorePool,
     build_score_pool,
-    is_outlier,
     load_p_values,
     load_pools,
+    load_set_matrix,
     load_sets,
-    nonconformity_score,
     nonconformity_scores,
     p_value,
     p_value_matrix,
-    p_values_all,
     predictive_set,
     save_p_values,
     save_pools,
@@ -59,7 +57,7 @@ def make_identity_model(d, label=1):
 
 def test_score_is_squared_norm_of_encoding():
     model = make_identity_model(2)
-    assert nonconformity_score(model, np.array([3.0, 4.0])) == 25.0
+    assert nonconformity_scores(model, np.array([[3.0, 4.0]]))[0] == 25.0
 
 
 def test_scores_batch_matches_rows():
@@ -71,7 +69,7 @@ def test_scores_batch_matches_rows():
 def test_score_uses_the_encoder_not_raw_input():
     # halving encoder quarters the score
     model = make_affine_model(np.array([[0.5]]), np.zeros(1))
-    assert nonconformity_score(model, np.array([4.0])) == 4.0
+    assert nonconformity_scores(model, np.array([[4.0]]))[0] == 4.0
 
 
 def test_build_pool_sorts_scores():
@@ -210,80 +208,71 @@ def test_conformal_p_ranks_match_two_sided_normal_tail():
         rng.normal(mu, sigma, size=250),
         np.linspace(mu - 4.0 * sigma, mu + 4.0 * sigma, 250),
     ])
-    conf = np.array([p_value(pool, nonconformity_score(model, np.array([v])))
-                     for v in xs])
+    conf = np.array([p_value(pool, t) for t in nonconformity_scores(model, xs[:, None])])
     u = (xs - mu) / sigma
     analytic = np.array([2.0 * min(normal_cdf(v), 1.0 - normal_cdf(v)) for v in u])
     rho = scipy_stats.spearmanr(conf, analytic).statistic
     assert rho > 0.99
 
 
-# -- vectors and sets ---------------------------------------------------------------
-
-def test_p_value_vector_validation():
-    pv = PValueVector((1, 2, 3), np.array([0.9, 0.03, 0.2]))
-    assert pv.value_for(2) == 0.03
-    with pytest.raises(KeyError):
-        pv.value_for(7)
-    with pytest.raises(DataError, match="duplicate"):
-        PValueVector((1, 1), np.array([0.5, 0.5]))
-    with pytest.raises(DataError, match="align"):
-        PValueVector((1, 2), np.array([0.5]))
-    with pytest.raises(DataError, match=r"\[0, 1\]"):
-        PValueVector((1,), np.array([1.5]))
-
+# -- predictive sets ----------------------------------------------------------------
 
 def test_predictive_set_keeps_classes_clearing_alpha():
-    pv = PValueVector((1, 2, 3), np.array([0.9, 0.03, 0.2]))
-    ps = predictive_set(pv, 0.05)
-    assert ps.labels == (1, 3)
-    assert 1 in ps and 3 in ps and 2 not in ps
-    assert ps.size == 2 and not ps.is_outlier
+    member = predictive_set(np.array([[0.9, 0.03, 0.2]]), 0.05)
+    assert member.dtype == bool
+    assert member.tolist() == [[True, False, True]]
 
 
 def test_predictive_set_boundary_p_equal_alpha_is_kept():
-    pv = PValueVector((1, 2), np.array([0.05, 0.049]))
-    assert predictive_set(pv, 0.05).labels == (1,)
+    assert predictive_set(np.array([[0.05, 0.049]]), 0.05).tolist() == [[True, False]]
 
 
 def test_tiny_alpha_keeps_every_class():
-    pv = PValueVector((1, 2, 3), np.array([0.9, 0.03, 0.2]))
-    assert predictive_set(pv, 1e-9).labels == (1, 2, 3)
+    assert predictive_set(np.array([[0.9, 0.03, 0.2]]), 1e-9).all()
 
 
 def test_empty_set_flags_outlier():
-    pv = PValueVector((1, 2), np.array([0.01, 0.02]))
-    ps = predictive_set(pv, 0.05)
-    assert ps.is_outlier and is_outlier(ps) and ps.size == 0
+    member = predictive_set(np.array([[0.01, 0.02], [0.01, 0.5]]), 0.05)
+    assert (~member.any(axis=1)).tolist() == [True, False]
 
 
 def test_predictive_set_alpha_validation():
-    pv = PValueVector((1,), np.array([0.5]))
+    pm = np.array([[0.5]])
     with pytest.raises(ConfigError, match="alpha"):
-        predictive_set(pv, 0.0)
+        predictive_set(pm, 0.0)
     with pytest.raises(ConfigError, match="alpha"):
-        predictive_set(pv, 1.0)
+        predictive_set(pm, 1.0)
 
 
-def test_predictive_set_label_validation():
-    with pytest.raises(DataError, match="duplicate"):
-        PredictiveSet((1, 1))
-    with pytest.raises(DataError, match="positive"):
-        PredictiveSet((0,))
+p_matrices = arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 5)),
+                    elements=st.sampled_from([0.01, 0.04, 0.05, 0.1, 0.3, 1.0])
+                    | st.floats(0.0, 1.0))
 
 
-def test_p_values_all_orders_by_model_and_checks_alignment():
+@given(p_matrices, st.floats(1e-6, 0.999), st.floats(1e-6, 0.999))
+def test_flow_sets_are_monotone_in_alpha(pm, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert np.all(predictive_set(pm, hi) <= predictive_set(pm, lo))
+
+
+@given(p_matrices, st.floats(1e-6, 0.999), st.data())
+def test_flow_sets_are_invariant_to_row_order(pm, alpha, data):
+    perm = np.array(data.draw(st.permutations(range(pm.shape[0]))), dtype=np.int64)
+    assert np.array_equal(predictive_set(pm[perm], alpha), predictive_set(pm, alpha)[perm])
+
+
+def test_p_value_matrix_orders_by_model_and_checks_alignment():
     models = [make_identity_model(1, label=1),
               make_affine_model(np.array([[1.0]]), np.array([-5.0]), label=2)]
     pools = [build_score_pool(models[0], np.linspace(-2, 2, 50).reshape(-1, 1)),
              build_score_pool(models[1], np.linspace(3, 7, 50).reshape(-1, 1))]
-    pv = p_values_all(models, pools, np.array([0.0]))
-    assert pv.labels == (1, 2)
-    assert pv.values[0] > pv.values[1]
+    labels, mat = p_value_matrix(models, pools, np.array([[0.0]]))
+    assert labels == (1, 2)
+    assert mat[0, 0] > mat[0, 1]
     with pytest.raises(ConfigError, match="pool per model"):
-        p_values_all(models, pools[:1], np.array([0.0]))
+        p_value_matrix(models, pools[:1], np.array([[0.0]]))
     with pytest.raises(ConfigError, match="paired with pool"):
-        p_values_all(models, list(reversed(pools)), np.array([0.0]))
+        p_value_matrix(models, list(reversed(pools)), np.array([[0.0]]))
 
 
 def test_p_value_matrix_rows_match_single_sample_path():
@@ -295,8 +284,9 @@ def test_p_value_matrix_rows_match_single_sample_path():
     labels, mat = p_value_matrix(models, pools, x)
     assert labels == (1, 2) and mat.shape == (7, 2)
     for i in range(7):
-        pv = p_values_all(models, pools, x[i])
-        assert np.array_equal(mat[i], pv.values)
+        row = [p_value(pool, nonconformity_scores(model, x[i:i + 1])[0])
+               for model, pool in zip(models, pools)]
+        assert np.array_equal(mat[i], row)
 
 
 @pytest.mark.parametrize("mode", ["smoothed", "paper-literal"])
@@ -361,20 +351,35 @@ def test_pool_csv_header_and_empty_errors(tmp_path):
 def test_p_value_csv_roundtrip_exact(tmp_path):
     mat = np.array([[1.0 / 3.0, 0.2], [0.05, 1.0]])
     path = str(tmp_path / "pv.csv")
-    save_p_values(path, (1, 2), mat, sample_ids=[10, 11])
+    save_p_values(path, (1, 2), mat)
     labels, ids, back = load_p_values(path)
     assert labels == (1, 2)
-    assert np.array_equal(ids, [10, 11])
+    assert np.array_equal(ids, [0, 1])
     assert np.array_equal(back, mat)
 
 
 def test_set_csv_roundtrip_with_outlier_token(tmp_path):
-    sets = [PredictiveSet((1, 3)), PredictiveSet(()), PredictiveSet((2,))]
+    member = np.array([[True, False, True], [False, False, False], [False, True, False]])
     path = str(tmp_path / "sets.csv")
-    save_sets(path, sets, sample_ids=[0, 1, 2])
+    save_sets(path, (1, 2, 3), member)
     raw = (tmp_path / "sets.csv").read_text().splitlines()
-    assert raw[0] == "sample_id,set"
-    assert raw[2] == "1,OUTLIER"
-    ids, back = load_sets(path)
+    assert raw == ["sample_id,set", "0,1|3", "1,OUTLIER", "2,2"]
+    labels, ids, back = load_sets(path)
+    assert labels == (1, 2, 3)
     assert np.array_equal(ids, [0, 1, 2])
-    assert [ps.labels for ps in back] == [(1, 3), (), (2,)]
+    assert np.array_equal(back, member)
+
+
+def test_set_csv_labels_are_the_classes_named(tmp_path):
+    # a class no row's set contains has no column on reading; load_set_matrix
+    # places the columns by the labels it is given
+    path = str(tmp_path / "sets.csv")
+    member = np.array([[False, False, True], [False, False, False]])
+    save_sets(path, (4, 7, 9), member)
+    labels, _, back = load_sets(path)
+    assert labels == (9,)
+    assert back.tolist() == [[True], [False]]
+    assert np.array_equal(load_set_matrix(path, (4, 7, 9)), member)
+    assert np.array_equal(load_set_matrix(path, (9, 4, 7)), member[:, [2, 0, 1]])
+    with pytest.raises(DataError, match="outside"):
+        load_set_matrix(path, (4, 7))

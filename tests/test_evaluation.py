@@ -11,13 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from flowconformal.conformal import (
-    PredictiveSet,
-    ScorePool,
-    p_value,
-    predictive_set,
-    PValueVector,
-)
+from flowconformal.conformal import ScorePool, p_value, predictive_set
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.evaluation import (
     build_report,
@@ -34,22 +28,27 @@ from flowconformal.evaluation import (
 )
 
 
-def sets_of(*labels_per_point):
-    return [PredictiveSet(tuple(v)) for v in labels_per_point]
+CLASSES = (1, 2, 3)
+
+
+def sets_of(*labels_per_point, classes=CLASSES):
+    """Membership matrix with one row per point and one column per class."""
+    return np.array([[c in labels for c in classes] for labels in labels_per_point],
+                    dtype=bool).reshape(len(labels_per_point), len(classes))
 
 
 # -- coverage and size ----------------------------------------------------------------
 
 def test_coverage_counts_true_class_membership():
     sets = sets_of((1,), (2,), (1, 2))
-    assert coverage(sets, [1, 1, 2]) == pytest.approx(2.0 / 3.0)
-    assert coverage(sets_of((1,), (1, 2)), [1, 2]) == 1.0
-    assert coverage(sets_of((2,), (1,)), [1, 2]) == 0.0
+    assert coverage(sets, [1, 1, 2], CLASSES) == pytest.approx(2.0 / 3.0)
+    assert coverage(sets_of((1,), (1, 2)), [1, 2], CLASSES) == 1.0
+    assert coverage(sets_of((2,), (1,)), [1, 2], CLASSES) == 0.0
 
 
 def test_coverage_counts_empty_sets_for_outliers():
     sets = sets_of((), (1,))
-    assert coverage(sets, [0, 0]) == 0.5
+    assert coverage(sets, [0, 0], CLASSES) == 0.5
 
 
 def test_size_error_paper_fixtures():
@@ -71,9 +70,11 @@ def test_size_error_excess_fixtures():
 
 def test_metric_alignment_errors():
     with pytest.raises(DataError, match="sets"):
-        coverage(sets_of((1,)), [1, 2])
+        coverage(sets_of((1,)), [1, 2], CLASSES)
     with pytest.raises(DataError, match="at least one"):
-        coverage([], [])
+        coverage(np.zeros((0, 3), dtype=bool), [], CLASSES)
+    with pytest.raises(DataError, match="for 3 classes"):
+        coverage(np.ones((2, 1), dtype=bool), [1, 2], CLASSES)
 
 
 # -- KS and type-I ----------------------------------------------------------------------
@@ -151,9 +152,8 @@ def test_conformal_sets_meet_coverage_guarantee_on_exchangeable_draws():
     rng = np.random.default_rng(12)
     pool = ScorePool(1, (rng.standard_normal((500, 2)) ** 2).sum(axis=1))
     t_new = (rng.standard_normal((2000, 2)) ** 2).sum(axis=1)
-    sets = [predictive_set(PValueVector((1,), np.array([p_value(pool, t)])), alpha)
-            for t in t_new]
-    got = coverage(sets, np.ones(2000, dtype=int))
+    sets = predictive_set(np.array([[p_value(pool, t)] for t in t_new]), alpha)
+    got = coverage(sets, np.ones(2000, dtype=int), (1,))
     bound = 1.0 - alpha - 3.0 * math.sqrt(alpha * (1.0 - alpha) / 2000.0)
     assert got >= bound
 
@@ -180,7 +180,7 @@ def test_build_report_schema_and_ranges():
     assert set(doc) == {"coverage", "size_error_paper", "size_error_excess",
                         "type1_per_class", "outlier_detection_rate", "ks", "counts"}
     assert 0.0 <= doc["coverage"] <= 1.0
-    assert doc["coverage"] == coverage(sets, labels)
+    assert doc["coverage"] == coverage(sets, labels, CLASSES)
     assert doc["size_error_paper"] == size_error_paper(sets, labels)
     assert doc["size_error_excess"] == size_error_excess(sets, labels)
     assert doc["outlier_detection_rate"] == 0.5
@@ -202,7 +202,7 @@ def test_build_report_type1_from_p_values():
 
 
 def test_build_report_type1_from_set_membership_without_p_values():
-    sets = sets_of((1,), (2,), (1, 2), (2,))
+    sets = sets_of((1,), (2,), (1, 2), (2,), classes=(1, 2))
     labels = np.array([1, 1, 2, 2])
     rep = build_report(sets, labels, alpha=0.05)
     by_class = {row["class"]: row["rate"] for row in rep.type1_per_class}
@@ -214,7 +214,7 @@ def test_build_report_type1_from_set_membership_without_p_values():
 def test_build_report_ks_present_with_enough_rows():
     rng = np.random.default_rng(13)
     n = 40
-    sets = sets_of(*[(1,)] * n)
+    sets = sets_of(*[(1,)] * n, classes=(1,))
     labels = np.ones(n, dtype=int)
     pmat = rng.uniform(size=(n, 1))
     rep = build_report(sets, labels, alpha=0.05, class_labels=(1,), p_matrix=pmat)

@@ -1,0 +1,257 @@
+"""The CSV table codec behind every artifact file.
+
+Oracles: literal expected text for each of the seven table kinds written from
+fixed hand-made inputs (no trained weights or BLAS involved), exact
+write/read round trips, and path:line errors from every loader.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from flowconformal._table import read_table
+from flowconformal.baselines import load_prob_matrix, save_prob_matrix
+from flowconformal.conformal import (
+    ScorePool,
+    load_p_values,
+    load_pools,
+    load_sets,
+    save_p_values,
+    save_pools,
+    save_sets,
+)
+from flowconformal.datasets import LabeledDataset, load_dataset_csv, save_dataset_csv
+from flowconformal.errors import DataError
+from flowconformal.evaluation import EvalReport, emit_comparison, emit_histogram
+
+COMPARISON = ("method", "rate", "coverage", "size_error_paper", "size_error_excess")
+
+
+# -- byte-exact writers ------------------------------------------------------------
+
+def test_dataset_text(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset_csv(LabeledDataset(np.array([[0.1, -2.0], [1.0 / 3.0, 1e-300]]),
+                                    np.array([2, 0])), str(path))
+    assert path.read_text() == ("label,f_1,f_2\n"
+                                "2,0.10000000000000001,-2\n"
+                                "0,0.33333333333333331,1e-300\n")
+
+
+def test_pools_text(tmp_path):
+    path = tmp_path / "p.csv"
+    save_pools([ScorePool(1, np.array([2.5, 0.1])), ScorePool(3, np.array([7.0]))], str(path))
+    assert path.read_text() == "class,score\n1,0.10000000000000001\n1,2.5\n3,7\n"
+
+
+def test_p_values_text(tmp_path):
+    path = tmp_path / "pv.csv"
+    save_p_values(str(path), (1, 4), np.array([[1.0, 0.05], [1.0 / 3.0, 0.5]]))
+    assert path.read_text() == ("sample_id,pi_1,pi_4\n"
+                                "0,1,0.050000000000000003\n"
+                                "1,0.33333333333333331,0.5\n")
+
+
+def test_sets_text(tmp_path):
+    path = tmp_path / "s.csv"
+    member = np.array([[True, False, True], [False, False, False], [False, True, False]])
+    save_sets(str(path), (1, 2, 5), member)
+    assert path.read_text() == "sample_id,set\n0,1|5\n1,OUTLIER\n2,2\n"
+
+
+def test_probabilities_text(tmp_path):
+    path = tmp_path / "pr.csv"
+    save_prob_matrix(str(path), (1, 2), np.array([[0.25, 0.75], [0.1, 0.9]]))
+    assert path.read_text() == ("sample_id,p_1,p_2\n"
+                                "0,0.25,0.75\n"
+                                "1,0.10000000000000001,0.90000000000000002\n")
+
+
+def test_histogram_text(tmp_path):
+    path = tmp_path / "h.csv"
+    emit_histogram([0.1, 0.2, 0.9, 1.0], str(path), bins=3)
+    assert path.read_text() == ("bin_left,bin_right,count\n"
+                                "0,0.33333333333333331,2\n"
+                                "0.33333333333333331,0.66666666666666663,0\n"
+                                "0.66666666666666663,1,2\n")
+
+
+def test_comparison_text(tmp_path):
+    path = tmp_path / "c.csv"
+    emit_comparison([("flow", 0.0, EvalReport(0.95, 1.0 / 3.0, -0.25)),
+                     ("aps", 0.05, EvalReport(1.0, 2.6000004, 1.6))], str(path))
+    assert path.read_text() == ("method,rate,coverage,size_error_paper,size_error_excess\n"
+                                "flow,0,0.950000,0.333333,-0.250000\n"
+                                "aps,0.05,1.000000,2.600000,1.600000\n")
+
+
+def test_tables_longer_than_one_write_chunk(tmp_path):
+    path = tmp_path / "long.csv"
+    matrix = np.random.default_rng(4).random((1000, 2))
+    save_p_values(str(path), (1, 2), matrix)
+    assert len(path.read_text().splitlines()) == 1001
+    _, ids, back = load_p_values(str(path))
+    assert np.array_equal(ids, np.arange(1000)) and np.array_equal(back, matrix)
+
+
+def test_header_only_tables(tmp_path):
+    path = tmp_path / "e.csv"
+    save_p_values(str(path), (1, 2), np.zeros((0, 2)))
+    assert path.read_text() == "sample_id,pi_1,pi_2\n"
+    labels, ids, matrix = load_p_values(str(path))
+    assert labels == (1, 2) and ids.shape == (0,) and matrix.shape == (0, 2)
+
+
+# -- loader errors --------------------------------------------------------------------
+
+LOADERS = {
+    "dataset": (load_dataset_csv, "label,f_1", "1,0.5"),
+    "pools": (load_pools, "class,score", "1,0.5"),
+    "p_values": (load_p_values, "sample_id,pi_1", "0,0.5"),
+    "sets": (load_sets, "sample_id,set", "0,1"),
+    "probabilities": (load_prob_matrix, "sample_id,p_1", "0,1.0"),
+}
+# the first field of every table is an int; the second a float or, for sets,
+# an int class label
+BAD_ROWS = {
+    "bad_int": lambda good: "x," + good.split(",")[1],
+    "bad_float": lambda good: good.split(",")[0] + ",abc",
+    "field_count": lambda good: good + ",7",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loaders_name_path_and_line(tmp_path, kind, bad):
+    load, header, good = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{BAD_ROWS[bad](good)}\n{good}\n")
+    with pytest.raises(DataError, match=f"{kind}.csv:2:"):
+        load(str(path))
+    path.write_text(f"{header}\n\n{good}\n\n")
+    load(str(path))  # blank lines are skipped
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["x,0.5", "1,abc"], 2),
+    (["1,abc", "x,0.5"], 2),
+    (["x,0.5", "1,0.5,9"], 2),
+    (["1,0.5", "1,abc", "x,1"], 3),
+    (["1,0.5", "2,0.5", "x,1"], 4),
+    (["1,0.5", "", "x,1"], 4),
+])
+def test_loaders_name_the_first_bad_line(tmp_path, rows, line):
+    path = tmp_path / "d.csv"
+    path.write_text("label,f_1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"d.csv:{line}:"):
+        load_dataset_csv(str(path))
+
+
+def test_header_errors_name_the_column(tmp_path):
+    path = tmp_path / "pv.csv"
+    path.write_text("sample_id,pi_1,pi_x\n0,0.5,0.5\n")
+    with pytest.raises(DataError, match="malformed column 'pi_x' in header"):
+        load_p_values(str(path))
+    path.write_text("sample_id\n0\n")
+    with pytest.raises(DataError, match="no pi_<int> column"):
+        load_p_values(str(path))
+    path.write_text("")
+    with pytest.raises(DataError, match="expected header 'sample_id,pi_\\*'"):
+        load_p_values(str(path))
+
+
+@pytest.mark.parametrize("token", ["", "0", "1|1", "1|x"])
+def test_sets_reject_malformed_tokens(tmp_path, token):
+    path = tmp_path / "s.csv"
+    path.write_text(f"sample_id,set\n0,1\n1,{token}\n")
+    with pytest.raises(DataError, match="s.csv:3:"):
+        load_sets(str(path))
+
+
+# -- exact round trips -------------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+shapes = st.tuples(st.integers(0, 12), st.integers(1, 5))
+
+
+@given(arrays(np.float64, shapes, elements=finite), st.data())
+def test_dataset_round_trip(tmp_path_factory, features, data):
+    labels = data.draw(arrays(np.int64, features.shape[0], elements=st.integers(0, 99)))
+    path = str(tmp_path_factory.mktemp("rt") / "d.csv")
+    save_dataset_csv(LabeledDataset(features, labels), path)
+    back = load_dataset_csv(path)
+    assert back.features.tobytes() == features.tobytes()
+    assert np.array_equal(back.labels, labels)
+
+
+@given(st.dictionaries(st.integers(1, 50),
+                       arrays(np.float64, st.integers(1, 8), elements=st.floats(0, 1e300)),
+                       min_size=1, max_size=4))
+def test_pools_round_trip(tmp_path_factory, by_class):
+    pools = [ScorePool(label, scores) for label, scores in sorted(by_class.items())]
+    path = str(tmp_path_factory.mktemp("rt") / "p.csv")
+    save_pools(pools, path)
+    back = load_pools(path)
+    assert [p.class_label for p in back] == [p.class_label for p in pools]
+    assert all(a.scores.tobytes() == b.scores.tobytes() for a, b in zip(pools, back))
+
+
+@given(arrays(np.float64, shapes, elements=finite), st.data())
+def test_p_values_round_trip(tmp_path_factory, matrix, data):
+    labels = tuple(data.draw(st.lists(st.integers(1, 99), min_size=matrix.shape[1],
+                                      max_size=matrix.shape[1], unique=True)))
+    path = str(tmp_path_factory.mktemp("rt") / "pv.csv")
+    save_p_values(path, labels, matrix)
+    back_labels, ids, back = load_p_values(path)
+    assert back_labels == labels
+    assert np.array_equal(ids, np.arange(matrix.shape[0]))
+    assert back.tobytes() == matrix.tobytes()
+
+
+@given(arrays(np.bool_, shapes), st.data())
+def test_sets_round_trip(tmp_path_factory, member, data):
+    labels = data.draw(st.lists(st.integers(1, 99), min_size=member.shape[1],
+                                max_size=member.shape[1], unique=True))
+    path = str(tmp_path_factory.mktemp("rt") / "s.csv")
+    save_sets(path, labels, member)
+    named, ids, back = load_sets(path)
+    # columns come back for the classes some row names, ascending
+    cols = sorted((j for j in range(len(labels)) if member[:, j].any()), key=labels.__getitem__)
+    assert named == tuple(labels[j] for j in cols)
+    assert np.array_equal(ids, np.arange(member.shape[0]))
+    assert np.array_equal(back, member[:, cols])
+
+
+@given(arrays(np.float64, shapes, elements=st.floats(0.01, 10.0)))
+def test_probabilities_round_trip(tmp_path_factory, raw):
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    path = str(tmp_path_factory.mktemp("rt") / "pr.csv")
+    save_prob_matrix(path, range(1, probs.shape[1] + 1), probs)
+    labels, _, back = load_prob_matrix(path)
+    assert labels == tuple(range(1, probs.shape[1] + 1))
+    assert back.tobytes() == probs.tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1.0), max_size=30), st.integers(1, 12))
+def test_histogram_round_trip(tmp_path_factory, p_values, bins):
+    path = tmp_path_factory.mktemp("rt") / "h.csv"
+    emit_histogram(p_values, str(path), bins=bins)
+    _, (left, right, counts) = read_table(str(path), ("bin_left", "bin_right", "count"),
+                                          (float, float, int))
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    assert left.tobytes() == edges[:-1].tobytes() and right.tobytes() == edges[1:].tobytes()
+    assert counts.sum() == len(p_values)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["flow", "scaling", "aps"]),
+                          st.floats(0.0, 0.99), st.floats(-10.0, 10.0)), max_size=6))
+def test_comparison_round_trip(tmp_path_factory, rows):
+    first = tmp_path_factory.mktemp("rt") / "c.csv"
+    emit_comparison([(m, r, EvalReport(v, v, v)) for m, r, v in rows], str(first))
+    _, (methods, rates, cov, paper, excess) = read_table(
+        str(first), COMPARISON, (str, float, float, float, float))
+    again = first.with_name("again.csv")
+    emit_comparison([(m, r, EvalReport(c, p, e))
+                     for m, r, c, p, e in zip(methods, rates, cov, paper, excess)], str(again))
+    assert again.read_text() == first.read_text()
