@@ -13,9 +13,36 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor"]
+__all__ = ["ACTIVATION_TABLE", "Tensor", "as_tensor"]
 
 _LEAKY_SLOPE = 0.2
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# Activation tag -> (forward f(x), backward (g, x, y) -> g * f'(x) with y = f(x)).
+# Tensor's pointwise methods and the fused MLP node both use this one table, so
+# a tag means the same arithmetic, rounding included, wherever it is applied.
+ACTIVATION_TABLE = {
+    "relu": (lambda x: np.maximum(x, 0.0),
+             lambda g, x, y: g * (x > 0)),
+    "leaky-relu": (lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
+                   lambda g, x, y: g * np.where(x > 0, 1.0, _LEAKY_SLOPE)),
+    "tanh": (np.tanh,
+             lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid,
+                lambda g, x, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x,
+                 lambda g, x, y: g),
+}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -260,42 +287,26 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
+    def _activation(self, tag: str) -> "Tensor":
+        forward, backward_fn = ACTIVATION_TABLE[tag]
+        out_data = forward(self.data)
+
+        def backward(g):
+            self._accum(backward_fn(g, self.data, out_data))
+
+        return self._make(out_data, (self,), backward)
+
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
+        return self._activation("relu")
 
-        def backward(g):
-            self._accum(g * (self.data > 0))
-
-        return self._make(out_data, (self,), backward)
-
-    def leaky_relu(self, slope: float = _LEAKY_SLOPE) -> "Tensor":
-        out_data = np.where(self.data > 0, self.data, slope * self.data)
-
-        def backward(g):
-            self._accum(g * np.where(self.data > 0, 1.0, slope))
-
-        return self._make(out_data, (self,), backward)
+    def leaky_relu(self) -> "Tensor":
+        return self._activation("leaky-relu")
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accum(g * (1.0 - out_data * out_data))
-
-        return self._make(out_data, (self,), backward)
+        return self._activation("tanh")
 
     def sigmoid(self) -> "Tensor":
-        x = self.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
-
-        def backward(g):
-            self._accum(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
+        return self._activation("sigmoid")
 
     def clip(self, low: float, high: float) -> "Tensor":
         if not low < high:

@@ -147,8 +147,8 @@ class ExperimentConfig:
         gen_hidden = tuple(int(w) for w in model.get("gen_hidden", (48, 48)))
         inv_hidden = tuple(int(w) for w in model.get("inv_hidden", (48, 48)))
         disc_hidden = tuple(int(w) for w in model.get("disc_hidden", (48, 48)))
-        train = dict(model.get("train", {}))
-        TrainConfig(**train)  # validate field names and ranges now
+        train = model.get("train", {})
+        TrainConfig.from_dict(train)  # validate field names, types and ranges now
 
         conf = doc.get("conformal", {})
         conformal = ConformalConfig(
@@ -426,7 +426,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
     for label in train.class_labels():
         own = feats[train.labels == label]
         other = feats[(train.labels != label) & (train.labels != OUTLIER)]
-        config = TrainConfig(**{**cfg.train, "seed": cfg.seed + label})
+        config = TrainConfig.from_dict({**cfg.train, "seed": cfg.seed + label})
         model, trace = train_class_flow(own, other, label, arch, config)
         mp = cfg.path("models", f"class_{label}.json")
         save_class_flow(model, mp)
@@ -507,9 +507,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     written = []
     alpha = cfg.conformal.alpha
     comparison_rows = []
-    for rate in cfg.rates:
+    tests = [load_dataset_csv(cfg.test_csv(rate)) for rate in cfg.rates]
+    for rate, test in zip(cfg.rates, tests):
         token = cfg.rate_token(rate)
-        test = load_dataset_csv(cfg.test_csv(rate))
         pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
         set_path = cfg.path("predictions", f"sets_{token}.csv")
         if not (os.path.exists(pv_path) and os.path.exists(set_path)):
@@ -531,7 +531,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
             written.append(hp)
 
     if cfg.baselines_enabled:
-        written.extend(_evaluate_baselines(cfg, comparison_rows))
+        written.extend(_evaluate_baselines(cfg, tests, comparison_rows))
 
     cmp_path = cfg.path("reports", "comparison.csv")
     emit_comparison(comparison_rows, cmp_path)
@@ -540,7 +540,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
-def _evaluate_baselines(cfg: ExperimentConfig, comparison_rows) -> list[str]:
+def _evaluate_baselines(cfg: ExperimentConfig, tests: list[LabeledDataset],
+                        comparison_rows) -> list[str]:
+    """Baseline reports per arm; ``tests`` holds the arms of ``cfg.rates`` in order."""
     train = load_dataset_csv(cfg.path("data", "train.csv"))
     calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
     norm = _load_normalizer(cfg)
@@ -558,9 +560,8 @@ def _evaluate_baselines(cfg: ExperimentConfig, comparison_rows) -> list[str]:
     cal = aps_calibrate(cal_probs, aps_cal.labels, class_labels, cfg.conformal.alpha)
 
     written = []
-    for rate in cfg.rates:
+    for rate, test in zip(cfg.rates, tests):
         token = cfg.rate_token(rate)
-        test = load_dataset_csv(cfg.test_csv(rate))
         probs = clf.predict_proba(_apply_norm(norm, test.features))
         pp = cfg.path("predictions", f"probs_{token}.csv")
         save_prob_matrix(pp, class_labels, probs)

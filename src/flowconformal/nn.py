@@ -6,16 +6,27 @@ activation. Parameters are float64 tensors initialized from a caller-supplied
 numpy Generator, so identical seeds give identical networks. Networks
 round-trip exactly through JSON: floats are written with 17 significant
 digits, which is lossless for float64.
+
+``Mlp.forward`` records one tape node per call rather than one per matmul,
+bias add and activation. The node runs the dense layers in plain numpy and
+keeps each layer's input, pre-activation and output. Its backward walks the
+layers in reverse: activation derivative, ``W += h^T g``, ``b += sum(g)``,
+``g <- g W^T``, and skips the last product when the input is a constant.
+Every element goes through the same numpy operations, in the same order, as
+the per-layer graph would, so values and gradients are bit-identical to it.
+``Adam`` keeps its moments in one flat vector and updates them in one pass
+over the concatenated gradients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import ACTIVATION_TABLE, Tensor
 
 __all__ = [
     "ACTIVATIONS",
@@ -29,23 +40,9 @@ __all__ = [
     "params_from_json",
 ]
 
-ACTIVATIONS = ("relu", "leaky-relu", "tanh", "sigmoid", "identity")
+ACTIVATIONS = tuple(ACTIVATION_TABLE)
 
 _FORMAT_VERSION = 1
-
-
-def _apply_activation(x: Tensor, tag: str) -> Tensor:
-    if tag == "relu":
-        return x.relu()
-    if tag == "leaky-relu":
-        return x.leaky_relu()
-    if tag == "tanh":
-        return x.tanh()
-    if tag == "sigmoid":
-        return x.sigmoid()
-    if tag == "identity":
-        return x
-    raise ValueError(f"unknown activation {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -122,28 +119,52 @@ class Mlp:
         spec = MlpSpec((dim, dim), (), "identity")
         return cls(spec, layers=[(np.eye(dim), np.zeros(dim))])
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
+    def _layer_acts(self):
+        """(W, b, (forward, backward) of the layer's activation) per layer."""
+        tags = self.spec.activations + (self.spec.final_activation,)
+        return [(w, b, ACTIVATION_TABLE[tag]) for (w, b), tag in zip(self.layers, tags)]
+
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 2:
             raise ValueError(f"forward expects a (batch, features) input, got shape {x.shape}")
-        if x.data.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"input width {x.data.shape[1]} != expected {self.spec.input_dim}"
-            )
-        h = x
-        n_layers = len(self.layers)
-        for i, (w, b) in enumerate(self.layers):
-            h = h.matmul(w) + b.reshape(1, -1)
-            if i < n_layers - 1:
-                h = _apply_activation(h, self.spec.activations[i])
-            else:
-                h = _apply_activation(h, self.spec.final_activation)
-        return h
+        if x.shape[1] != self.spec.input_dim:
+            raise ValueError(f"input width {x.shape[1]} != expected {self.spec.input_dim}")
+
+    def forward(self, x: Tensor) -> Tensor:
+        """The whole network as one tape node (see the module docstring)."""
+        self._check_input(x.data)
+        saved = []  # (W, b, activation backward, layer input, pre-activation, output)
+        h = x.data
+        for w, b, (act, act_grad) in self._layer_acts():
+            z = h @ w.data + b.data
+            y = act(z)
+            saved.append((w, b, act_grad, h, z, y))
+            h = y
+
+        def backward(g):
+            for i in range(len(saved) - 1, -1, -1):
+                w, b, act_grad, h_in, z, y = saved[i]
+                g = act_grad(g, z, y)
+                w._accum(h_in.T @ g)
+                b._accum(g.sum(axis=0))
+                if i == 0 and not x.requires_grad:
+                    return
+                g = g @ w.data.T
+            x._accum(g)
+
+        return x._make(h, (x, *self.parameters()), backward)
 
     __call__ = forward
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on raw arrays, no graph recorded."""
-        return self.forward(Tensor(np.asarray(x, dtype=np.float64))).data
+        h = np.asarray(x, dtype=np.float64)
+        self._check_input(h)
+        if not np.all(np.isfinite(h)):
+            raise ValueError("tensor data must be finite")
+        for w, b, (act, _) in self._layer_acts():
+            h = act(h @ w.data + b.data)
+        return h
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -158,7 +179,12 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected Adam. step() applies one update and clears gradients."""
+    """Bias-corrected Adam. step() applies one update and clears gradients.
+
+    The first and second moments of all parameters live in one flat vector
+    each; parameter i owns the slice ``_slices[i]``. Parameters may be shared
+    with another optimizer, which keeps its own moments.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -172,32 +198,39 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        size = ends[-1] if ends else 0
+        self._grad = np.empty(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
     def step(self) -> None:
+        g = self._grad
+        for p, sl in zip(self.params, self._slices):
+            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite gradient in Adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient in Adam step")
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
-            m_hat = self._m[i] / c1
-            v_hat = self._v[i] / c2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = b1 * self._m + (1.0 - b1) * g
+        self._v = b2 * self._v + (1.0 - b2) * (g * g)
+        m_hat = self._m / c1
+        v_hat = self._v / c2
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, sl in zip(self.params, self._slices):
+            p.data = p.data - update[sl].reshape(p.data.shape)
             p.grad = None
 
 
 # -- lossless JSON persistence -------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite parameter")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def to_json(obj) -> str:
@@ -206,6 +239,8 @@ def to_json(obj) -> str:
         inner = ",".join(f"{json.dumps(k)}:{to_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        if obj and all(type(v) is float for v in obj):  # e.g. a row of ndarray.tolist()
+            return "[" + ",".join(map(_fmt_float, obj)) + "]"
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

@@ -24,7 +24,7 @@ reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -143,6 +143,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        """Build from a config mapping; an unknown key or a value of the wrong
+        type is a ConfigError that names the key."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"train config must be a JSON object, got {doc!r}")
+        kinds = {f.name: f.type for f in fields(cls)}  # "int", "float" or "float | None"
+        for key, value in doc.items():
+            kind = kinds.get(key)
+            if kind is None:
+                raise ConfigError(f"unknown train config key {key!r}; valid: {', '.join(kinds)}")
+            if value is None and kind == "float | None":
+                continue
+            allowed = int if kind == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                want = "an integer" if kind == "int" else "a number"
+                raise ConfigError(f"train config key {key!r} must be {want}, got {value!r}")
         return cls(**doc)
 
 

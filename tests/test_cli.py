@@ -86,6 +86,34 @@ def test_invalid_config_value_exits_one(tmp_path):
     assert main(["gen-data", "--config", cfg_path]) == 1
 
 
+@pytest.mark.parametrize("train, key", [
+    ({"bogus": 3}, "'bogus'"),
+    ({"epochs": "2"}, "'epochs'"),
+    ({"epochs": 2.0}, "'epochs'"),
+    ({"lr_gen": True}, "'lr_gen'"),
+    ({"bandwidth": "wide"}, "'bandwidth'"),
+])
+def test_bad_train_key_exits_one_naming_it(tmp_path, capsys, train, key):
+    doc = base_config(tmp_path / "out")
+    doc["model"]["train"] = train
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_train_config_recorded_for_valid_train_keys(pipeline):
+    _, out_dir = pipeline
+    doc = json.loads((out_dir / "models" / "class_1.json").read_text())
+    assert doc["train_config"] == {
+        "epochs": 4, "batch_size": 16, "lr_gen": 1e-3, "lr_disc": 1e-3, "lr_pred": 1e-4,
+        "w_gan": 1.0, "w_mmd": 8.0, "w_cycle": 0.5, "w_pred": 1.0, "disc_steps": 1,
+        "seed": 4, "bandwidth": None,
+    }
+
+
 def test_missing_training_data_exits_two(tmp_path):
     cfg_path, _ = write_config(tmp_path)
     assert main(["train", "--config", cfg_path]) == 2

@@ -1,4 +1,9 @@
-"""MLP forward contracts, Adam update arithmetic, JSON persistence."""
+"""MLP forward contracts, Adam update arithmetic, JSON persistence.
+
+The fused one-node ``Mlp.forward`` and the flat-buffer ``Adam`` are checked
+for exact equality (bytes, not a tolerance) against oracles kept here: the
+per-layer tape formulation of the forward pass and a per-parameter Adam.
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from flowconformal.nn import (
     mlp_to_dict,
     params_from_json,
     params_to_json,
+    to_json,
 )
 
 
@@ -168,3 +174,207 @@ def test_mlp_dict_version_guard():
     doc["version"] = 99
     with pytest.raises(ValueError, match="version"):
         mlp_from_dict(doc)
+
+
+# -- fused MLP node and flat Adam against their per-layer / per-parameter oracles --
+
+def _tape_forward(net, x):
+    """Mlp.forward as one tape node per matmul, bias add and activation: the oracle."""
+    h = x
+    tags = net.spec.activations + (net.spec.final_activation,)
+    for (w, b), tag in zip(net.layers, tags):
+        h = h.matmul(w) + b.reshape(1, -1)
+        if tag != "identity":
+            h = getattr(h, tag.replace("-", "_"))()
+    return h
+
+
+def _tape_predict(net, x):
+    return _tape_forward(net, Tensor(np.asarray(x, dtype=np.float64))).data
+
+
+class _OracleAdam:
+    """Adam with one moment array per parameter, updated one parameter at a time."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = list(params), lr, beta1, beta2, eps
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient in Adam step")
+            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
+            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
+            m_hat = self._m[i] / c1
+            v_hat = self._v[i] / c2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.grad = None
+
+
+def _same(a, b):
+    """Bit-identical arrays: same shape and the same bytes (so -0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _grads(tensors):
+    return [None if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def _clear(tensors):
+    for t in tensors:
+        t.grad = None
+
+
+def _assert_same_grads(fused, oracle):
+    assert len(fused) == len(oracle)
+    for gf, go in zip(fused, oracle):
+        assert (gf is None) == (go is None)
+        if gf is not None:
+            assert _same(gf, go)
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_fused_forward_equals_tape_oracle(act, input_grad):
+    rng = np.random.default_rng(5)
+    net = Mlp(MlpSpec((3, 6, 5, 4), (act, act), act), rng=rng)
+    for _, b in net.layers:  # non-zero biases, so the bias path is exercised
+        b.data = rng.normal(size=b.data.shape)
+    x = Tensor(rng.normal(size=(7, 3)), requires_grad=input_grad)
+    weight = rng.normal(size=(7, 4))
+    tensors = net.parameters() + [x]
+
+    results = []
+    for forward in (Mlp.forward, _tape_forward):
+        out = forward(net, x)
+        (out * weight).sum().backward()
+        results.append((out.data.copy(), _grads(tensors)))
+        _clear(tensors)
+    (out_f, grads_f), (out_o, grads_o) = results
+    assert _same(out_f, out_o)
+    _assert_same_grads(grads_f, grads_o)
+    assert (grads_f[-1] is not None) == input_grad
+    assert _same(net.predict(x.data), out_f)
+    assert _same(net.predict(x.data), _tape_predict(net, x.data))
+
+
+def test_fused_forward_matches_oracle_with_networks_reused_in_one_graph():
+    # the shape of loss_cycle plus the latent MMD term: the inverse map is used
+    # three times and the generator twice, one feeding the other
+    rng = np.random.default_rng(8)
+    gen = Mlp(MlpSpec((2, 8, 8, 3), ("relu", "relu"), "identity"), rng=rng)
+    inv = Mlp(MlpSpec((3, 8, 8, 2), ("relu", "relu"), "identity"), rng=rng)
+    xt = Tensor(rng.normal(size=(16, 3)))
+    zt = Tensor(rng.normal(size=(16, 2)))
+    tensors = gen.parameters() + inv.parameters()
+
+    def loss(forward):
+        dx = xt - forward(gen, forward(inv, xt))
+        dz = zt - forward(inv, forward(gen, zt))
+        enc = forward(inv, xt)
+        return ((dx * dx).sum(axis=1).sqrt().mean() + (dz * dz).sum(axis=1).sqrt().mean()
+                + (enc * enc).mean())
+
+    results = []
+    for forward in (Mlp.forward, _tape_forward):
+        value = loss(forward)
+        value.backward()
+        results.append((value.data.copy(), _grads(tensors)))
+        _clear(tensors)
+    assert _same(results[0][0], results[1][0])
+    _assert_same_grads(results[0][1], results[1][1])
+
+
+def test_fused_node_is_one_tape_node():
+    rng = np.random.default_rng(2)
+    net = Mlp(MlpSpec((2, 4, 4, 1), ("tanh", "tanh"), "sigmoid"), rng=rng)
+    x = Tensor(rng.normal(size=(3, 2)))
+    out = net(x)
+    assert out._parents == (x, *net.parameters())
+    assert all(p._parents == () for p in out._parents)
+
+
+def _adam_params(rng):
+    # two "networks" sharing the middle pair, as opt_main and opt_pred share the inverse map
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((3, 4), (4,), (4, 2), (2,), ())]
+
+
+def test_flat_adam_equals_per_parameter_oracle():
+    rng = np.random.default_rng(12)
+    fused = _adam_params(np.random.default_rng(4))
+    oracle = _adam_params(np.random.default_rng(4))
+    opts = []
+    for params, cls in ((fused, Adam), (oracle, _OracleAdam)):
+        opts.append((cls(params[:4], lr=1e-2), cls(params[2:], lr=3e-3, beta1=0.5)))
+    for step in range(5):
+        for which in (0, 1):
+            grads = [rng.normal(size=p.data.shape) for p in fused]
+            for params, pair in zip((fused, oracle), opts):
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    # one parameter has no gradient on alternate steps
+                    p.grad = None if (i == 3 and step % 2) else g.copy()
+                pair[which].step()
+            for pf, po in zip(fused, oracle):
+                assert _same(pf.data, po.data)
+    assert opts[0][0].t == opts[1][0].t == 5
+
+
+def test_flat_adam_nan_gradient_raises_and_leaves_parameters():
+    params = _adam_params(np.random.default_rng(6))
+    opt = Adam(params)
+    before = [p.data.copy() for p in params]
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    params[2].grad = params[2].grad.copy()
+    params[2].grad[1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        opt.step()
+    assert opt.t == 0
+    for p, b in zip(params, before):
+        assert _same(p.data, b)
+
+
+def test_training_with_oracles_writes_the_same_model_bytes(tmp_path, monkeypatch):
+    from flowconformal import roundtrip
+
+    rng = np.random.default_rng(21)
+    x_pos = rng.normal(size=(160, 3))
+    x_neg = rng.normal(loc=3.0, size=(100, 3))
+    arch = roundtrip.FlowArchitecture(input_dim=3, latent_dim=2, gen_hidden=(12, 12),
+                                      inv_hidden=(12, 12), disc_hidden=(12, 12))
+    config = roundtrip.TrainConfig(epochs=2, batch_size=32, seed=7, w_mmd=8.0, w_cycle=0.5)
+
+    def train_and_save(name):
+        model, trace = roundtrip.train_class_flow(x_pos, x_neg, 1, arch, config)
+        path = tmp_path / name
+        roundtrip.save_class_flow(model, str(path))
+        return path.read_bytes(), trace.to_dict()
+
+    fused = train_and_save("fused.json")
+    monkeypatch.setattr(Mlp, "forward", _tape_forward)
+    monkeypatch.setattr(Mlp, "__call__", _tape_forward)
+    monkeypatch.setattr(Mlp, "predict", _tape_predict)
+    monkeypatch.setattr(roundtrip, "Adam", _OracleAdam)
+    oracle = train_and_save("oracle.json")
+    assert fused == oracle
+
+
+def test_to_json_float_rows_match_the_general_path():
+    row = [0.1, -2.5e-300, 1e21, 3.0, -0.0, 5e-324]
+    assert to_json(row) == "[" + ",".join(format(v, ".17g") for v in row) + "]"
+    assert to_json([1.5, 2, True, None, np.float64(0.25)]) == "[1.5,2,true,null,0.25]"
+    assert to_json([]) == "[]"
+    assert to_json((2.0, 3.0)) == "[2,3]"
+    for bad in ([1.0, float("nan")], [float("inf")], [1, np.float64(np.inf)]):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_json(bad)
