@@ -13,6 +13,10 @@ can be rerun or tested in isolation:
                   histograms, and a method-by-rate comparison CSV
     manifest.json config hash, artifact index, timestamps
 
+``train`` trains the class models in up to one process per usable CPU, this
+one included (``roundtrip.train_class_flows``); the models are the same
+bytes as training the classes one after another.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime or data
 error.
 """
@@ -55,7 +59,6 @@ from .datasets import (
     ContaminationSpec,
     LabeledDataset,
     Normalizer,
-    OUTLIER,
     SyntheticSpec,
     fit_normalizer,
     gen_gaussian_classes,
@@ -73,7 +76,7 @@ from .roundtrip import (
     TrainConfig,
     load_class_flow,
     save_class_flow,
-    train_class_flow,
+    train_class_flows,
 )
 
 __all__ = ["ExperimentConfig", "RunManifest", "main"]
@@ -87,6 +90,14 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing required config key {where}.{key}")
     return doc[key]
+
+
+def _section(doc: dict, key: str, where: str, required: bool = False) -> dict:
+    """``doc[key]``, which must be a JSON object; an absent optional one reads as {}."""
+    value = _require(doc, key, where) if required else doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
+    return value
 
 
 @dataclass
@@ -116,11 +127,11 @@ class ExperimentConfig:
         seed = int(doc.get("seed", 0))
         out_dir = str(doc.get("out_dir", "out"))
 
-        dataset = _require(doc, "dataset", "config")
-        if not isinstance(dataset, dict) or len(dataset.keys() & {"synthetic", "idx"}) != 1:
+        dataset = _section(doc, "dataset", "config", required=True)
+        if len(dataset.keys() & {"synthetic", "idx"}) != 1:
             raise ConfigError("config.dataset needs exactly one of 'synthetic' or 'idx'")
         if "synthetic" in dataset:
-            syn = dataset["synthetic"]
+            syn = _section(dataset, "synthetic", "dataset")
             means = _require(syn, "means", "dataset.synthetic")
             # validate eagerly; generation rebuilds with run seeds
             SyntheticSpec(
@@ -132,17 +143,17 @@ class ExperimentConfig:
                 raise ConfigError("dataset.synthetic.calibration_per_class must be >= 0")
             if int(_require(syn, "test_per_class", "dataset.synthetic")) < 1:
                 raise ConfigError("dataset.synthetic.test_per_class must be >= 1")
-            out = _require(syn, "outlier", "dataset.synthetic")
+            out = _section(syn, "outlier", "dataset.synthetic", required=True)
             np.asarray(_require(out, "mean", "dataset.synthetic.outlier"), dtype=np.float64)
         else:
-            idx = dataset["idx"]
+            idx = _section(dataset, "idx", "dataset")
             for key in ("train_images", "train_labels", "test_images", "test_labels"):
                 _require(idx, key, "dataset.idx")
             frac = float(idx.get("calibration_fraction", 0.0))
             if not 0.0 <= frac < 1.0:
                 raise ConfigError("dataset.idx.calibration_fraction must lie in [0, 1)")
 
-        model = doc.get("model", {})
+        model = _section(doc, "model", "config")
         latent_dim = int(model.get("latent_dim", 2))
         gen_hidden = tuple(int(w) for w in model.get("gen_hidden", (48, 48)))
         inv_hidden = tuple(int(w) for w in model.get("inv_hidden", (48, 48)))
@@ -150,13 +161,13 @@ class ExperimentConfig:
         train = model.get("train", {})
         TrainConfig.from_dict(train)  # validate field names, types and ranges now
 
-        conf = doc.get("conformal", {})
+        conf = _section(doc, "conformal", "config")
         conformal = ConformalConfig(
             alpha=float(conf.get("alpha", 0.05)),
             p_value_mode=str(conf.get("p_value_mode", "smoothed")),
         )
 
-        cont = doc.get("contamination", {})
+        cont = _section(doc, "contamination", "config")
         rates = tuple(float(r) for r in cont.get("rates", (0.0,)))
         if not rates:
             raise ConfigError("contamination.rates must not be empty")
@@ -166,7 +177,7 @@ class ExperimentConfig:
         if len(set(rates)) != len(rates):
             raise ConfigError(f"duplicate contamination rates {rates}")
 
-        base = doc.get("baselines", {})
+        base = _section(doc, "baselines", "config")
         enabled = bool(base.get("enabled", True))
         classifier = ClassifierConfig(
             hidden=tuple(int(w) for w in base.get("hidden", (32,))),
@@ -226,18 +237,25 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+
+    def section(key: str) -> dict:
+        doc.setdefault(key, {})
+        return _section(doc, key, "config")
+
     if overrides.seed is not None:
         doc["seed"] = overrides.seed
     if overrides.out is not None:
         doc["out_dir"] = overrides.out
     if overrides.alpha is not None:
-        doc.setdefault("conformal", {})["alpha"] = overrides.alpha
+        section("conformal")["alpha"] = overrides.alpha
     if overrides.p_value_mode is not None:
-        doc.setdefault("conformal", {})["p_value_mode"] = overrides.p_value_mode
+        section("conformal")["p_value_mode"] = overrides.p_value_mode
     if overrides.contamination_rate:
-        doc.setdefault("contamination", {})["rates"] = list(overrides.contamination_rate)
+        section("contamination")["rates"] = list(overrides.contamination_rate)
     if overrides.baselines is not None:
-        doc.setdefault("baselines", {})["enabled"] = overrides.baselines == "on"
+        section("baselines")["enabled"] = overrides.baselines == "on"
     return ExperimentConfig.from_dict(doc)
 
 
@@ -423,11 +441,9 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
         inv_hidden=cfg.inv_hidden,
         disc_hidden=cfg.disc_hidden,
     )
-    for label in train.class_labels():
-        own = feats[train.labels == label]
-        other = feats[(train.labels != label) & (train.labels != OUTLIER)]
-        config = TrainConfig.from_dict({**cfg.train, "seed": cfg.seed + label})
-        model, trace = train_class_flow(own, other, label, arch, config)
+    config = TrainConfig.from_dict({**cfg.train, "seed": cfg.seed})
+    for model, trace in train_class_flows(feats, train.labels, arch, config):
+        label = model.class_label
         mp = cfg.path("models", f"class_{label}.json")
         save_class_flow(model, mp)
         tp = cfg.path("models", f"trace_class_{label}.json")

@@ -19,16 +19,22 @@ Per iteration the loop takes three kinds of Adam steps:
 The latent reference distribution is standard normal. All randomness flows
 through one numpy Generator seeded from the config, so training is exactly
 reproducible.
+
+Class models never read each other and each is seeded from its label, so
+``train_class_flows`` trains them in up to one process per usable CPU, this
+process included, and returns the same models as training them in turn.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .autodiff import Tensor
+from .datasets import OUTLIER
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, MEDIAN_HEURISTIC, mmd2_unbiased_graph, resolve_bandwidth
 from .nn import Adam, Mlp, MlpSpec, mlp_from_dict, mlp_to_dict, to_json
@@ -45,6 +51,7 @@ __all__ = [
     "loss_cycle",
     "loss_pred_finetune",
     "train_class_flow",
+    "train_class_flows",
     "encode",
     "generate",
     "sample_latent",
@@ -433,6 +440,98 @@ def train_class_flow(
         trace.pred.append(sums["pred"] / steps)
 
     return model, trace
+
+
+# -- every class of a labelled matrix ------------------------------------------------
+
+# (features, labels) of the running train_class_flows, set in each pool worker
+# by its initializer; a forked worker inherits the arrays without a copy
+_SHARED: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _share(features: np.ndarray, labels: np.ndarray) -> None:
+    global _SHARED
+    _SHARED = (features, labels)
+
+
+def _fit_class(features, labels, label, arch, config):
+    own = features[labels == label]
+    other = features[(labels != label) & (labels != OUTLIER)]
+    return train_class_flow(own, other, label, arch, replace(config, seed=config.seed + label))
+
+
+def _fit_shared(label, arch, config):
+    return _fit_class(*_SHARED, label, arch, config)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def train_class_flows(
+    features: np.ndarray,
+    labels: np.ndarray,
+    arch: FlowArchitecture,
+    config: TrainConfig,
+) -> list[tuple[ClassFlowModel, TrainTrace]]:
+    """Train one model per class label (OUTLIER rows excluded), in label order.
+
+    Class ``c`` trains on its own rows against the other classes' rows, with
+    ``config`` reseeded to ``config.seed + c``. With k = min(usable CPUs,
+    classes), process ``i mod k`` trains the i-th class: this process takes
+    i = 0, k, 2k, ... and k - 1 forked workers the rest, so the models equal
+    those of training the classes in turn. A failure raises like that loop
+    would: the lowest failing class's error, with its type; a worker that
+    dies becomes a ChildProcessError naming its class.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    classes = [int(c) for c in np.unique(labels) if c != OUTLIER]
+    k = min(_usable_cpus(), len(classes))
+    if k <= 1:
+        return [_fit_class(features, labels, c, arch, config) for c in classes]
+
+    # imported here: every CLI stage imports this module, and the pool
+    # machinery would add ~20 ms to the start-up of the stages that never use it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_share, initargs=(features, labels))
+    try:
+        futures = {i: pool.submit(_fit_shared, c, arch, config)
+                   for i, c in enumerate(classes) if i % k}
+        results = [None] * len(classes)
+        # this process stops at its first failing class, or before its next
+        # one once a lower class has failed in a worker; of the classes below
+        # the stop, the lowest failure is raised, as the serial order would
+        stop, error = len(classes), None
+        for i in range(0, len(classes), k):
+            if any(j < i and f.done() and f.exception() is not None
+                   for j, f in futures.items()):
+                stop = i
+                break
+            try:
+                results[i] = _fit_class(features, labels, classes[i], arch, config)
+            except Exception as exc:
+                stop, error = i, exc
+                break
+        for i in range(stop):
+            if i not in futures:
+                continue
+            try:
+                results[i] = futures[i].result()
+            except BrokenProcessPool:
+                raise ChildProcessError(
+                    f"the worker process training class {classes[i]} died") from None
+        if error is not None:
+            raise error
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 # -- persistence -------------------------------------------------------------------

@@ -52,7 +52,7 @@ from flowconformal.roundtrip import (
     loss_forward_gan,
     loss_latent_mmd,
     loss_pred_finetune,
-    train_class_flow,
+    train_class_flows,
 )
 from flowconformal.special import chi2_cdf
 
@@ -81,15 +81,12 @@ def _run_seed(seed: int) -> dict:
         means=((12.0, 12.0),), n_per_class=400, seed=seed + 30_000)).features
 
     arch = FlowArchitecture(input_dim=2, latent_dim=2)
-    models, pools = [], []
-    for label in CLASSES:
-        pos = train.features[train.labels == label]
-        neg = train.features[train.labels != label]
-        cfg = TrainConfig(epochs=40, batch_size=128, seed=seed + label,
-                          w_mmd=8.0, w_cycle=0.5)
-        model, _ = train_class_flow(pos, neg, label, arch, cfg)
-        models.append(model)
-        pools.append(build_score_pool(model, pos))
+    # class c trains on its rows against all other rows, seeded with seed + c
+    cfg = TrainConfig(epochs=40, batch_size=128, seed=seed, w_mmd=8.0, w_cycle=0.5)
+    models = [model for model, _ in train_class_flows(train.features, train.labels, arch, cfg)]
+    assert tuple(m.class_label for m in models) == CLASSES
+    pools = [build_score_pool(m, train.features[train.labels == m.class_label])
+             for m in models]
 
     clf_train, aps_cal, _ = split_stratified(train, (0.5, 0.5, 0.0), seed + 60_000)
     clf = train_softmax_classifier(clf_train.features, clf_train.labels,

@@ -6,15 +6,18 @@ re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
 import json
+import os
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from flowconformal import roundtrip
 from flowconformal.cli import ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_set_matrix
 from flowconformal.datasets import load_dataset_csv
+from flowconformal.errors import ConfigError
 
 ALPHA = 0.05
 
@@ -104,6 +107,40 @@ def test_bad_train_key_exits_one_naming_it(tmp_path, capsys, train, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, named", [
+    (("model",), 3, "config.model"),
+    (("conformal",), [], "config.conformal"),
+    (("contamination",), 3, "config.contamination"),
+    (("baselines",), "on", "config.baselines"),
+    (("dataset",), [], "config.dataset"),
+    (("dataset", "synthetic"), 3, "dataset.synthetic"),
+    (("dataset", "synthetic", "outlier"), [12.0], "dataset.synthetic.outlier"),
+    (("dataset",), {"idx": 3}, "dataset.idx"),
+])
+@pytest.mark.parametrize("flags", [[], ["--alpha", "0.1", "--contamination-rate", "0.2",
+                                        "--p-value-mode", "smoothed", "--baselines", "off"]])
+def test_section_that_is_not_an_object_exits_one_naming_it(tmp_path, capsys, path, value,
+                                                           named, flags):
+    doc = base_config(tmp_path / "out")
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} must be a JSON object")
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert main(["gen-data", "--config", str(path), "--seed", "4"]) == 1
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
 def test_train_config_recorded_for_valid_train_keys(pipeline):
     _, out_dir = pipeline
     doc = json.loads((out_dir / "models" / "class_1.json").read_text())
@@ -174,6 +211,54 @@ def test_train_writes_models_traces_and_normalizer(pipeline):
         assert set(trace) == {"disc", "gan", "mmd", "cycle", "pred"}
         assert all(len(v) == 4 for v in trace.values())
     assert (out / "models" / "normalizer.json").exists()
+
+
+def test_train_writes_the_same_models_for_any_cpu_count(tmp_path, monkeypatch):
+    # 3 classes: serial, two processes (classes 1 and 3 here, 2 in a worker),
+    # and more CPUs than classes (one class per process)
+    out = tmp_path / "out"
+    doc = base_config(out)
+    doc["dataset"]["synthetic"].update(means=[[0.0], [6.0], [12.0]],
+                                       outlier={"mean": [24.0], "n": 50})
+    cfg_path = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    trees = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: cpus)
+        shutil.rmtree(out / "models")
+        assert main(["train", "--config", cfg_path]) == 0
+        trees.append({p.name: p.read_bytes() for p in (out / "models").iterdir()})
+    assert len(trees[0]) == 7  # normalizer, a model and a trace per class
+    assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("failure, code, message", [
+    (ConfigError("class 2 has 3 rows"), 1, "config error: class 2 has 3 rows"),
+    (FloatingPointError("non-finite mmd loss"), 2, "error: non-finite mmd loss"),
+    (None, 2, "error: the worker process training class 2 died"),
+])
+def test_train_worker_failure_exits_with_a_message(tmp_path, monkeypatch, capsys,
+                                                   failure, code, message):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    parent, fit = os.getpid(), roundtrip.train_class_flow
+
+    def fail_in_worker(*args):
+        if os.getpid() == parent:
+            return fit(*args)
+        if failure is None:
+            os._exit(1)
+        raise failure
+
+    # the forked worker inherits the patch; this process trains class 1 as usual
+    monkeypatch.setattr(roundtrip, "train_class_flow", fail_in_worker)
+    monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: 2)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path]) == code
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+    assert not (out / "models" / "class_1.json").exists()
 
 
 def test_calibrate_pool_sizes_match_training_rows(pipeline):

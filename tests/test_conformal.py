@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from flowconformal.conformal import (
     ConformalConfig,
     ScorePool,
+    _p_from_sorted,
     build_score_pool,
     load_p_values,
     load_pools,
@@ -161,6 +162,41 @@ def test_p_value_invariant_to_pool_order():
     for t in np.linspace(0.0, 12.0, 40):
         assert p_value(a, t) == p_value(b, t)
         assert p_value(a, t, "paper-literal") == p_value(b, t, "paper-literal")
+
+
+# scores with frequent exact ties, as a pool of rounded or clamped scores has
+score_lists = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]) | st.floats(0.0, 50.0),
+                       min_size=1, max_size=40)
+
+
+@given(score_lists, score_lists)
+def test_smoothed_p_values_lie_in_half_open_unit_interval(pool, new):
+    p = _p_from_sorted(np.sort(pool), np.asarray(new), "smoothed")
+    assert np.all(p > 0.0) and np.all(p <= 1.0)
+
+
+@pytest.mark.parametrize("mode, sign", [("smoothed", -1), ("paper-literal", 1)])
+@given(pool=score_lists, new=score_lists)
+def test_p_values_are_monotone_in_the_score(mode, sign, pool, new):
+    # smoothed p falls as the score grows; paper-literal p rises
+    p = _p_from_sorted(np.sort(pool), np.sort(new), mode)
+    assert np.all(sign * np.diff(p) >= 0.0)
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 50.0),
+                min_size=2, max_size=40),
+       st.floats(0.0, 1.0))
+def test_smoothed_p_values_super_uniform_over_rotations(scores, alpha):
+    # each of the n + 1 scores in turn is the new one, the other n the pool;
+    # under exchangeability each rotation is equally likely, so super-
+    # uniformity is: at most floor(alpha (n + 1)) rotations have p <= alpha.
+    # The floor is counted as k / (n + 1) <= alpha in the p-values' own
+    # float division, so alpha = k / (n + 1) rounds alike on both sides.
+    s = np.asarray(scores)
+    n1 = s.size
+    hits = sum(int(_p_from_sorted(np.sort(np.delete(s, r)), s[r], "smoothed") <= alpha)
+               for r in range(n1))
+    assert hits <= int(np.sum(np.arange(1.0, n1 + 1.0) / n1 <= alpha))
 
 
 def test_smoothed_p_values_super_uniform_on_exchangeable_draws():

@@ -7,9 +7,15 @@ the standard-normal reference (including a simulated null for the kernel
 discrepancy).
 """
 
+import concurrent.futures
+import os
+from concurrent.futures import ProcessPoolExecutor, wait
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from flowconformal import roundtrip
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     MEDIAN_HEURISTIC,
@@ -34,6 +40,7 @@ from flowconformal.roundtrip import (
     sample_latent,
     save_class_flow,
     train_class_flow,
+    train_class_flows,
 )
 
 LOG2 = float(np.log(2.0))
@@ -333,6 +340,117 @@ def test_loop_discriminator_loss_is_loss_forward_gan(monkeypatch):
     z = sample_latent(rng, cfg.batch_size, 1)
     d_loss, _ = loss_forward_gan(model, xb, z)
     assert seen[0] == float(d_loss.data)
+
+
+# -- every class of a labelled matrix ----------------------------------------------
+
+def _fake_fit(own, other, label, arch, config):
+    """Stands in for train_class_flow here and in forked workers: says where it ran."""
+    return label, os.getpid(), config.seed, own.shape[0], other.shape[0]
+
+
+def _labelled(n_classes):
+    # class c has c + 1 rows; two OUTLIER (label 0) rows never train or serve as negatives
+    labels = np.repeat(np.arange(n_classes + 1), [2] + [c + 1 for c in range(1, n_classes + 1)])
+    return np.arange(labels.size, dtype=np.float64).reshape(-1, 1), labels
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """Records the worker count of every pool train_class_flows creates, and
+    every future submitted to it."""
+    made = SimpleNamespace(workers=[], futures=[])
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            made.futures.append(super().submit(*args, **kwargs))
+            return made.futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return made
+
+
+@pytest.mark.parametrize("cpus, n_classes", [(1, 4), (4, 1), (2, 5), (3, 5), (8, 3)])
+def test_class_i_trains_in_process_i_mod_k(monkeypatch, pools_made, cpus, n_classes):
+    monkeypatch.setattr(roundtrip, "train_class_flow", _fake_fit)
+    monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: cpus)
+    x, labels = _labelled(n_classes)
+    out = train_class_flows(x, labels, TINY_ARCH, TrainConfig(seed=10))
+    n_rows = labels.size - 2
+    assert [r[0] for r in out] == list(range(1, n_classes + 1))
+    assert [r[2] for r in out] == [10 + c for c in range(1, n_classes + 1)]
+    assert [(r[3], r[4]) for r in out] == [(c + 1, n_rows - c - 1)
+                                           for c in range(1, n_classes + 1)]
+    k = min(cpus, n_classes)
+    pids = [r[1] for r in out]
+    if k == 1:
+        assert pools_made.workers == [] and set(pids) == {os.getpid()}
+        return
+    assert pools_made.workers == [k - 1]
+    for i, pid in enumerate(pids):
+        assert (pid == os.getpid()) == (i % k == 0)
+    assert len(set(pids)) <= k
+
+
+def _failing_fit(fail):
+    """_fake_fit, except that class c raises fail[c]() (or exits) in the given process."""
+    parent = os.getpid()
+
+    def fit(own, other, label, arch, config):
+        where, make = fail.get(label, (None, None))
+        in_worker = os.getpid() != parent
+        if where == "worker" and in_worker or where == "parent" and not in_worker:
+            if make is None:
+                os._exit(1)
+            raise make(f"class {label} failed")
+        return _fake_fit(own, other, label, arch, config)
+
+    return fit
+
+
+@pytest.mark.parametrize("fail, raised, message", [
+    ({2: ("worker", FloatingPointError)}, FloatingPointError, "class 2 failed"),
+    ({3: ("parent", ConfigError)}, ConfigError, "class 3 failed"),
+    # the lowest failing class wins, whichever process trained it
+    ({2: ("worker", FloatingPointError), 3: ("parent", ConfigError)},
+     FloatingPointError, "class 2 failed"),
+    ({1: ("parent", DataError), 2: ("worker", FloatingPointError)},
+     DataError, "class 1 failed"),
+    ({2: ("worker", None)}, ChildProcessError, "class 2 died"),
+])
+def test_class_failures_raise_the_lowest_label_with_its_type(monkeypatch, pools_made,
+                                                              fail, raised, message):
+    monkeypatch.setattr(roundtrip, "train_class_flow", _failing_fit(fail))
+    monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: 2)
+    x, labels = _labelled(3)
+    with pytest.raises(raised, match=message):
+        train_class_flows(x, labels, TINY_ARCH, TrainConfig())
+    assert pools_made.workers == [1]
+
+
+def test_a_worker_failure_stops_this_process_before_its_next_class(monkeypatch, pools_made):
+    # 5 classes on 2 CPUs: this process trains 1, 3, 5 and the worker 2, 4.
+    # Class 1 returns only once class 2 has failed, so class 3 must not start.
+    trained = []
+    fit = _failing_fit({2: ("worker", FloatingPointError)})
+
+    def fit_here(own, other, label, arch, config):
+        trained.append(label)
+        if label == 1:
+            done, _ = wait(pools_made.futures[:1], timeout=60)
+            assert done
+        return fit(own, other, label, arch, config)
+
+    monkeypatch.setattr(roundtrip, "train_class_flow", fit_here)
+    monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: 2)
+    x, labels = _labelled(5)
+    with pytest.raises(FloatingPointError, match="class 2 failed"):
+        train_class_flows(x, labels, TINY_ARCH, TrainConfig())
+    assert trained == [1]
 
 
 def test_negative_pool_smaller_than_batch_is_resampled():
