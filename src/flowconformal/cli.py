@@ -17,8 +17,9 @@ can be rerun or tested in isolation:
 one included (``roundtrip.train_class_flows``); the models are the same
 bytes as training the classes one after another.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime or data
-error.
+The config is checked against one typed schema (``_SCHEMA``) before any
+stage runs. Exit codes: 0 success, 1 usage or configuration error (an
+unknown key or a wrongly typed value included), 2 runtime or data error.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import argparse
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,23 +83,107 @@ from .roundtrip import (
 
 __all__ = ["ExperimentConfig", "RunManifest", "main"]
 
-_STAGES = ("gen-data", "train", "calibrate", "predict", "evaluate")
-
-
 # -- configuration ---------------------------------------------------------------
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"missing required config key {where}.{key}")
-    return doc[key]
+class _OneOf(dict):
+    """A schema section that holds exactly one of its sections."""
 
 
-def _section(doc: dict, key: str, where: str, required: bool = False) -> dict:
-    """``doc[key]``, which must be a JSON object; an absent optional one reads as {}."""
-    value = _require(doc, key, where) if required else doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key} must be a JSON object, got {value!r}")
+def _fields(cls, *skip: str) -> dict:
+    """Schema leaves of a dataclass: its field annotations and defaults."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+
+
+# Each leaf is (type, default), the type written as a field annotation and
+# MISSING for a required key; a nested dict is a section.
+_SCHEMA = {
+    "seed": ("int", 0),
+    "out_dir": ("str", "out"),
+    "normalize": ("bool", True),
+    "dataset": _OneOf(
+        synthetic={
+            "means": ("list[list[float]]", MISSING),
+            "covariances": ("list[list[list[float]]] | None", None),
+            "train_per_class": ("int", MISSING),
+            "calibration_per_class": ("int", 0),
+            "test_per_class": ("int", MISSING),
+            "outlier": {
+                "mean": ("list[float]", MISSING),
+                "covariance": ("list[list[float]] | None", None),
+                "n": ("int", 1000),
+            },
+        },
+        idx={
+            **dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"),
+                            ("str", MISSING)),
+            "holdout_raw_label": ("int | None", None),
+            "calibration_fraction": ("float", 0.0),
+        },
+    ),
+    "model": {
+        "latent_dim": ("int", 2),
+        **_fields(FlowArchitecture, "input_dim", "latent_dim"),
+        # the run seed seeds training
+        "train": _fields(TrainConfig, "seed"),
+    },
+    "conformal": _fields(ConformalConfig),
+    "contamination": {"rates": ("tuple[float, ...]", (0.0,))},
+    "baselines": {
+        "enabled": ("bool", True),
+        **_fields(ClassifierConfig),
+        "calibration_fraction": ("float", 0.5),
+    },
+}
+
+
+def _typed(value, kind: str):
+    """``value`` as the annotation ``kind`` reads it; TypeError when it is not one.
+    A finite int given for a float becomes a float, a list for a tuple a tuple."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    outer, _, inner = kind.partition("[")
+    if inner and isinstance(value, (list, tuple)):  # a tuple only as a default
+        items = [_typed(v, inner[:-1].removesuffix(", ...")) for v in value]
+        return tuple(items) if outer == "tuple" else items
+    if kind == "float" and type(value) is int:
+        value = float(value)  # OverflowError past the float range
+    # JSON values are exactly int, float, bool, str, list, dict or None
+    if type(value).__name__ != kind or kind == "float" and not math.isfinite(value):
+        raise TypeError(kind)
     return value
+
+
+def _walk(doc: dict, schema: dict, where: str) -> dict:
+    """``doc`` checked against ``schema``, typed, with every default filled in.
+
+    ``where`` is the key path of ``doc``, "config" at the top. Every
+    ConfigError names the key: unknown, missing, not an object, or mistyped.
+    """
+    unknown = sorted(doc.keys() - schema.keys())
+    if unknown:
+        raise ConfigError(f"unknown {where} key {unknown[0]!r}; valid: {', '.join(schema)}")
+    if isinstance(schema, _OneOf):
+        if len(doc) != 1:
+            raise ConfigError(f"{where} needs exactly one of {' or '.join(map(repr, schema))}")
+        schema = {key: schema[key] for key in doc}
+    out = {}
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            section = doc[key] if key in doc else {}
+            if not isinstance(section, dict):
+                raise ConfigError(f"{where}.{key} must be a JSON object, got {section!r}")
+            out[key] = _walk(section, rule, key if where == "config" else f"{where}.{key}")
+        elif key not in doc and rule[1] is MISSING:
+            raise ConfigError(f"missing required config key {where}.{key}")
+        else:
+            value = doc[key] if key in doc else rule[1]
+            try:
+                out[key] = _typed(value, rule[0])
+            except (TypeError, OverflowError):
+                raise ConfigError(f"{where} key {key!r} must be of type {rule[0]}, "
+                                  f"got {value!r}") from None
+    return out
 
 
 @dataclass
@@ -107,111 +193,65 @@ class ExperimentConfig:
     raw: dict
     seed: int
     out_dir: str
-    dataset: dict
-    latent_dim: int
-    gen_hidden: tuple[int, ...]
-    inv_hidden: tuple[int, ...]
-    disc_hidden: tuple[int, ...]
-    train: dict
+    normalize: bool
+    dataset: dict  # the one given branch, "synthetic" or "idx", typed and defaulted
+    model: dict  # FlowArchitecture's fields but input_dim
+    train: dict  # TrainConfig's fields but seed
     conformal: ConformalConfig
     rates: tuple[float, ...]
     baselines_enabled: bool
     classifier: ClassifierConfig
     calibration_fraction: float
-    normalize: bool
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        seed = int(doc.get("seed", 0))
-        out_dir = str(doc.get("out_dir", "out"))
-
-        dataset = _section(doc, "dataset", "config", required=True)
-        if len(dataset.keys() & {"synthetic", "idx"}) != 1:
-            raise ConfigError("config.dataset needs exactly one of 'synthetic' or 'idx'")
+        v = _walk(doc, _SCHEMA, "config")
+        if v["seed"] < 0:
+            raise ConfigError(f"config.seed must be >= 0, got {v['seed']}")
+        dataset = v["dataset"]
         if "synthetic" in dataset:
-            syn = _section(dataset, "synthetic", "dataset")
-            means = _require(syn, "means", "dataset.synthetic")
+            syn = dataset["synthetic"]
+            for key, low in (("train_per_class", 1), ("calibration_per_class", 0),
+                             ("test_per_class", 1)):
+                if syn[key] < low:
+                    raise ConfigError(f"dataset.synthetic.{key} must be >= {low}, got {syn[key]}")
             # validate eagerly; generation rebuilds with run seeds
-            SyntheticSpec(
-                means=tuple(means),
-                n_per_class=int(_require(syn, "train_per_class", "dataset.synthetic")),
-                covariances=tuple(syn["covariances"]) if syn.get("covariances") else None,
-            )
-            if int(syn.get("calibration_per_class", 0)) < 0:
-                raise ConfigError("dataset.synthetic.calibration_per_class must be >= 0")
-            if int(_require(syn, "test_per_class", "dataset.synthetic")) < 1:
-                raise ConfigError("dataset.synthetic.test_per_class must be >= 1")
-            out = _section(syn, "outlier", "dataset.synthetic", required=True)
-            np.asarray(_require(out, "mean", "dataset.synthetic.outlier"), dtype=np.float64)
-        else:
-            idx = _section(dataset, "idx", "dataset")
-            for key in ("train_images", "train_labels", "test_images", "test_labels"):
-                _require(idx, key, "dataset.idx")
-            frac = float(idx.get("calibration_fraction", 0.0))
-            if not 0.0 <= frac < 1.0:
-                raise ConfigError("dataset.idx.calibration_fraction must lie in [0, 1)")
+            dim = SyntheticSpec(means=syn["means"], n_per_class=1,
+                                covariances=syn["covariances"]).dim
+            out = syn["outlier"]
+            if len(out["mean"]) != dim:
+                raise ConfigError(f"dataset.synthetic.outlier.mean has dimension "
+                                  f"{len(out['mean'])}, the class means {dim}")
+            if out["n"] < 1:
+                raise ConfigError(f"dataset.synthetic.outlier.n must be >= 1, got {out['n']}")
+        elif not 0.0 <= dataset["idx"]["calibration_fraction"] < 1.0:
+            raise ConfigError("dataset.idx.calibration_fraction must lie in [0, 1)")
 
-        model = _section(doc, "model", "config")
-        latent_dim = int(model.get("latent_dim", 2))
-        gen_hidden = tuple(int(w) for w in model.get("gen_hidden", (48, 48)))
-        inv_hidden = tuple(int(w) for w in model.get("inv_hidden", (48, 48)))
-        disc_hidden = tuple(int(w) for w in model.get("disc_hidden", (48, 48)))
-        train = model.get("train", {})
-        TrainConfig.from_dict(train)  # validate field names, types and ranges now
+        model = v["model"]
+        train = model.pop("train")
+        TrainConfig(**train)  # range checks now, before any stage runs
 
-        conf = _section(doc, "conformal", "config")
-        conformal = ConformalConfig(
-            alpha=float(conf.get("alpha", 0.05)),
-            p_value_mode=str(conf.get("p_value_mode", "smoothed")),
-        )
+        rates = v["contamination"]["rates"]
+        if not rates or len(set(rates)) != len(rates) or not all(0.0 <= r < 1.0 for r in rates):
+            raise ConfigError(f"contamination.rates must be one or more distinct rates in "
+                              f"[0, 1), got {list(rates)}")
 
-        cont = _section(doc, "contamination", "config")
-        rates = tuple(float(r) for r in cont.get("rates", (0.0,)))
-        if not rates:
-            raise ConfigError("contamination.rates must not be empty")
-        for r in rates:
-            if not 0.0 <= r < 1.0:
-                raise ConfigError(f"contamination rate must lie in [0, 1), got {r}")
-        if len(set(rates)) != len(rates):
-            raise ConfigError(f"duplicate contamination rates {rates}")
-
-        base = _section(doc, "baselines", "config")
-        enabled = bool(base.get("enabled", True))
-        classifier = ClassifierConfig(
-            hidden=tuple(int(w) for w in base.get("hidden", (32,))),
-            epochs=int(base.get("epochs", 60)),
-            batch_size=int(base.get("batch_size", 128)),
-            lr=float(base.get("lr", 5e-3)),
-        )
-        frac = float(base.get("calibration_fraction", 0.5))
+        base = v["baselines"]
+        enabled = base.pop("enabled")
+        frac = base.pop("calibration_fraction")
         if not 0.0 < frac < 1.0:
             raise ConfigError("baselines.calibration_fraction must lie in (0, 1)")
 
-        return cls(
-            raw=doc,
-            seed=seed,
-            out_dir=out_dir,
-            dataset=dataset,
-            latent_dim=latent_dim,
-            gen_hidden=gen_hidden,
-            inv_hidden=inv_hidden,
-            disc_hidden=disc_hidden,
-            train=train,
-            conformal=conformal,
-            rates=rates,
-            baselines_enabled=enabled,
-            classifier=classifier,
-            calibration_fraction=frac,
-            normalize=bool(doc.get("normalize", True)),
-        )
+        return cls(raw=doc, seed=v["seed"], out_dir=v["out_dir"], normalize=v["normalize"],
+                   dataset=dataset, model=model, train=train,
+                   conformal=ConformalConfig(**v["conformal"]), rates=rates,
+                   baselines_enabled=enabled, classifier=ClassifierConfig(**base),
+                   calibration_fraction=frac)
 
     def effective_dict(self) -> dict:
-        doc = dict(self.raw)
-        doc["seed"] = self.seed
-        doc["out_dir"] = self.out_dir
-        return doc
+        return {**self.raw, "seed": self.seed, "out_dir": self.out_dir}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.effective_dict(), sort_keys=True, separators=(",", ":"))
@@ -237,25 +277,21 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
 
-    def section(key: str) -> dict:
-        doc.setdefault(key, {})
-        return _section(doc, key, "config")
-
-    if overrides.seed is not None:
-        doc["seed"] = overrides.seed
-    if overrides.out is not None:
-        doc["out_dir"] = overrides.out
-    if overrides.alpha is not None:
-        section("conformal")["alpha"] = overrides.alpha
-    if overrides.p_value_mode is not None:
-        section("conformal")["p_value_mode"] = overrides.p_value_mode
-    if overrides.contamination_rate:
-        section("contamination")["rates"] = list(overrides.contamination_rate)
-    if overrides.baselines is not None:
-        section("baselines")["enabled"] = overrides.baselines == "on"
+    baselines = None if overrides.baselines is None else overrides.baselines == "on"
+    for section, key, value in (
+        (None, "seed", overrides.seed),
+        (None, "out_dir", overrides.out),
+        ("conformal", "alpha", overrides.alpha),
+        ("conformal", "p_value_mode", overrides.p_value_mode),
+        ("contamination", "rates", overrides.contamination_rate),
+        ("baselines", "enabled", baselines),
+    ):
+        # a document or section that is not an object is left for the walk to reject
+        if value is not None and isinstance(doc, dict):
+            holder = doc.setdefault(section, {}) if section else doc
+            if isinstance(holder, dict):
+                holder[key] = value
     return ExperimentConfig.from_dict(doc)
 
 
@@ -271,21 +307,13 @@ class RunManifest:
 
     @classmethod
     def load_or_new(cls, path: str, config_hash: str) -> "RunManifest":
-        if os.path.exists(path):
-            with open(path) as fh:
-                doc = json.load(fh)
-            man = cls(
-                config_hash=doc.get("config_hash", config_hash),
-                tool_version=doc.get("tool_version", __version__),
-                created=doc.get("created", ""),
-                updated=doc.get("updated", ""),
-                artifacts=doc.get("artifacts", {}),
-            )
-            man.config_hash = config_hash
-            man.tool_version = __version__
-            return man
-        now = time.strftime("%Y-%m-%dT%H:%M:%S")
-        return cls(config_hash=config_hash, created=now, updated=now)
+        if not os.path.exists(path):
+            now = time.strftime("%Y-%m-%dT%H:%M:%S")
+            return cls(config_hash=config_hash, created=now, updated=now)
+        with open(path) as fh:
+            doc = json.load(fh)
+        return cls(config_hash=config_hash, created=doc.get("created", ""),
+                   updated=doc.get("updated", ""), artifacts=doc.get("artifacts", {}))
 
     def record(self, stage: str, paths: list[str], out_dir: str) -> None:
         rel = [os.path.relpath(p, out_dir) for p in paths]
@@ -293,15 +321,8 @@ class RunManifest:
 
     def save(self, path: str) -> None:
         self.updated = time.strftime("%Y-%m-%dT%H:%M:%S")
-        doc = {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "created": self.created,
-            "updated": self.updated,
-            "artifacts": self.artifacts,
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -345,30 +366,25 @@ def cmd_gen_data(cfg: ExperimentConfig) -> list[str]:
 
 def _gen_synthetic(cfg: ExperimentConfig):
     syn = cfg.dataset["synthetic"]
-    means = tuple(syn["means"])
-    covs = tuple(syn["covariances"]) if syn.get("covariances") else None
-    n_train = int(syn["train_per_class"])
-    n_cal = int(syn.get("calibration_per_class", 0))
-    n_test = int(syn["test_per_class"])
+    means, covs = syn["means"], syn["covariances"]
 
     train = gen_gaussian_classes(SyntheticSpec(
-        means=means, n_per_class=n_train, seed=cfg.seed, covariances=covs))
-    if n_cal > 0:
+        means=means, n_per_class=syn["train_per_class"], seed=cfg.seed, covariances=covs))
+    if syn["calibration_per_class"] > 0:
         calib = gen_gaussian_classes(SyntheticSpec(
-            means=means, n_per_class=n_cal, seed=cfg.seed + 10_000, covariances=covs))
+            means=means, n_per_class=syn["calibration_per_class"], seed=cfg.seed + 10_000,
+            covariances=covs))
     else:
         calib = LabeledDataset(np.empty((0, train.dim)), np.empty(0, dtype=np.int64))
     test = gen_gaussian_classes(SyntheticSpec(
-        means=means, n_per_class=n_test, seed=cfg.seed + 20_000, covariances=covs))
+        means=means, n_per_class=syn["test_per_class"], seed=cfg.seed + 20_000,
+        covariances=covs))
 
     out = syn["outlier"]
-    out_mean = np.asarray(out["mean"], dtype=np.float64)
-    out_cov = (out["covariance"],) if out.get("covariance") else None
-    n_out = int(out.get("n", 1000))
-    out_label = len(means) + 1
     outliers = gen_gaussian_classes(SyntheticSpec(
-        means=(out_mean,), n_per_class=n_out, seed=cfg.seed + 30_000,
-        covariances=out_cov, labels=(out_label,)))
+        means=[out["mean"]], n_per_class=out["n"], seed=cfg.seed + 30_000,
+        covariances=None if out["covariance"] is None else [out["covariance"]],
+        labels=(len(means) + 1,)))
     # exported with label 0: these rows are never a training class
     outliers = LabeledDataset(outliers.features,
                               np.zeros(outliers.n, dtype=np.int64),
@@ -380,10 +396,10 @@ def _load_idx_splits(cfg: ExperimentConfig):
     idx = cfg.dataset["idx"]
     train_all = load_idx_dataset(idx["train_images"], idx["train_labels"])
     test_all = load_idx_dataset(idx["test_images"], idx["test_labels"])
-    holdout = idx.get("holdout_raw_label")
-    frac = float(idx.get("calibration_fraction", 0.0))
+    holdout = idx["holdout_raw_label"]
+    frac = idx["calibration_fraction"]
     if holdout is not None:
-        internal = int(holdout) + 1
+        internal = holdout + 1
         keep_train = train_all.labels != internal
         train_all = train_all.take(np.flatnonzero(keep_train))
         out_rows = np.flatnonzero(test_all.labels == internal)
@@ -434,14 +450,8 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
         written.append(p)
     feats = _apply_norm(norm, train.features)
 
-    arch = FlowArchitecture(
-        input_dim=train.dim,
-        latent_dim=cfg.latent_dim,
-        gen_hidden=cfg.gen_hidden,
-        inv_hidden=cfg.inv_hidden,
-        disc_hidden=cfg.disc_hidden,
-    )
-    config = TrainConfig.from_dict({**cfg.train, "seed": cfg.seed})
+    arch = FlowArchitecture(input_dim=train.dim, **cfg.model)
+    config = TrainConfig(**cfg.train, seed=cfg.seed)
     for model, trace in train_class_flows(feats, train.labels, arch, config):
         label = model.class_label
         mp = cfg.path("models", f"class_{label}.json")
@@ -593,14 +603,12 @@ def _evaluate_baselines(cfg: ExperimentConfig, tests: list[LabeledDataset],
     return written
 
 
+_STAGES = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,
+           "predict": cmd_predict, "evaluate": cmd_evaluate}
+
+
 def cmd_run_experiment(cfg: ExperimentConfig) -> list[str]:
-    written = []
-    written.extend(cmd_gen_data(cfg))
-    written.extend(cmd_train(cfg))
-    written.extend(cmd_calibrate(cfg))
-    written.extend(cmd_predict(cfg))
-    written.extend(cmd_evaluate(cfg))
-    return written
+    return [p for stage in _STAGES.values() for p in stage(cfg)]
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -648,20 +656,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "calibrate":
-            cmd_calibrate(cfg)
-        elif args.command == "predict":
-            cmd_predict(cfg, getattr(args, "test_file", None))
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg)
+        if args.command == "predict":
+            cmd_predict(cfg, args.test_file)
         elif args.command == "run-experiment":
             cmd_run_experiment(cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        else:
+            _STAGES[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -103,8 +103,8 @@ class SyntheticSpec:
     def __post_init__(self):
         means = tuple(np.asarray(m, dtype=np.float64).ravel() for m in self.means)
         object.__setattr__(self, "means", means)
-        if not means:
-            raise ConfigError("at least one class mean is required")
+        if not means or means[0].shape[0] == 0:
+            raise ConfigError("means must hold at least one class mean of dimension >= 1")
         p = means[0].shape[0]
         if any(m.shape[0] != p for m in means):
             raise ConfigError("all class means must share one dimension")
@@ -113,16 +113,16 @@ class SyntheticSpec:
         if self.covariances is not None:
             covs = tuple(np.asarray(c, dtype=np.float64) for c in self.covariances)
             if len(covs) != len(means):
-                raise ConfigError("one covariance per class is required when given")
+                raise ConfigError("covariances: one covariance per class is required when given")
             for i, cov in enumerate(covs):
                 if cov.shape != (p, p):
-                    raise ConfigError(f"covariance {i} shape {cov.shape} != ({p}, {p})")
+                    raise ConfigError(f"covariances[{i}] shape {cov.shape} != ({p}, {p})")
                 if not np.allclose(cov, cov.T, atol=1e-10):
-                    raise ConfigError(f"covariance {i} is not symmetric")
+                    raise ConfigError(f"covariances[{i}] is not symmetric")
                 try:
                     np.linalg.cholesky(cov)
                 except np.linalg.LinAlgError:
-                    raise ConfigError(f"covariance {i} is not positive definite") from None
+                    raise ConfigError(f"covariances[{i}] is not positive definite") from None
             object.__setattr__(self, "covariances", covs)
         if self.labels is not None:
             labels = tuple(int(v) for v in self.labels)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -133,39 +133,7 @@ class TrainConfig:
             raise ConfigError(f"bandwidth must be positive when fixed, got {self.bandwidth}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_gen": self.lr_gen,
-            "lr_disc": self.lr_disc,
-            "lr_pred": self.lr_pred,
-            "w_gan": self.w_gan,
-            "w_mmd": self.w_mmd,
-            "w_cycle": self.w_cycle,
-            "w_pred": self.w_pred,
-            "disc_steps": self.disc_steps,
-            "seed": self.seed,
-            "bandwidth": self.bandwidth,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build from a config mapping; an unknown key or a value of the wrong
-        type is a ConfigError that names the key."""
-        if not isinstance(doc, dict):
-            raise ConfigError(f"train config must be a JSON object, got {doc!r}")
-        kinds = {f.name: f.type for f in fields(cls)}  # "int", "float" or "float | None"
-        for key, value in doc.items():
-            kind = kinds.get(key)
-            if kind is None:
-                raise ConfigError(f"unknown train config key {key!r}; valid: {', '.join(kinds)}")
-            if value is None and kind == "float | None":
-                continue
-            allowed = int if kind == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                want = "an integer" if kind == "int" else "a number"
-                raise ConfigError(f"train config key {key!r} must be {want}, got {value!r}")
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass

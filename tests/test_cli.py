@@ -5,21 +5,30 @@ asserts on the files each stage writes. Predictive-set files must be exactly
 re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
+import contextlib
+import importlib.util
+import io
 import json
+import math
 import os
+import pathlib
 import shutil
 import struct
+import tempfile
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowconformal import roundtrip
-from flowconformal.cli import ExperimentConfig, build_parser, load_config, main
+from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_set_matrix
 from flowconformal.datasets import load_dataset_csv
 from flowconformal.errors import ConfigError
 
 ALPHA = 0.05
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def base_config(out_dir, **extra):
@@ -139,6 +148,147 @@ def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["gen-data", "--config", str(path), "--seed", "4"]) == 1
     assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+def _with(doc, path, value):
+    """``doc`` with ``value`` written at the key path ``path``."""
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return doc
+
+
+def _run_gen_data(tmp_path, doc):
+    """(exit code, stderr) of gen-data on ``doc``."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["gen-data", "--config", str(cfg_path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("path, value, named", [
+    # wrongly typed values
+    (("seed",), [], "'seed'"),
+    (("seed",), "x", "'seed'"),
+    (("seed",), 3.7, "'seed'"),
+    (("model", "latent_dim"), [2], "'latent_dim'"),
+    (("dataset", "synthetic", "means"), 3, "'means'"),
+    (("conformal", "alpha"), "a", "'alpha'"),
+    (("conformal", "alpha"), "0.1", "'alpha'"),
+    (("contamination", "rates"), "0.1", "'rates'"),
+    (("baselines", "enabled"), "false", "'enabled'"),
+    (("normalize",), "no", "'normalize'"),
+    (("out_dir",), None, "'out_dir'"),
+    # unknown keys, the seed of model.train included
+    (("baseline",), {"enabled": False}, "'baseline'"),
+    (("model", "latent"), 2, "'latent'"),
+    (("baselines", "enable"), False, "'enable'"),
+    (("model", "train", "seed"), 5, "'seed'"),
+    # values out of range or of the wrong shape
+    (("seed",), -1, "config.seed"),
+    (("dataset", "synthetic", "means"), [[], []], "means"),
+    (("dataset", "synthetic", "outlier", "mean"), [], "outlier.mean"),
+    (("dataset", "synthetic", "outlier", "mean"), [12.0, 12.0], "outlier.mean"),
+    (("dataset", "synthetic", "train_per_class"), 0, "train_per_class"),
+    (("dataset", "synthetic", "outlier", "n"), 0, "outlier.n"),
+])
+def test_bad_config_value_exits_one_naming_its_key(tmp_path, path, value, named):
+    doc = _with(base_config(tmp_path / "out"), path, value)
+    code, err = _run_gen_data(tmp_path, doc)
+    assert code == 1, err
+    assert err.startswith("config error: ") and named in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),  # sizes past 1000 cost real memory
+    st.floats(-1000, 1000), st.sampled_from([math.inf, -math.inf, math.nan]),
+    # no "/" and no "..": a string never names a path out of the working directory
+    st.text(alphabet="ab01", max_size=3), st.sampled_from(["0.1", "false", "no"]),
+)
+_VALUE = st.one_of(
+    _SCALAR, st.lists(_SCALAR, max_size=3),
+    st.dictionaries(st.text(alphabet="abn", max_size=2), _SCALAR, max_size=2),
+)
+
+
+@pytest.mark.parametrize("path", list(_key_paths(base_config("out"))), ids=".".join)
+@settings(max_examples=25)
+@given(value=_VALUE)
+def test_any_json_value_at_any_key_exits_cleanly(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a substituted out_dir is relative to here
+        try:
+            code, err = _run_gen_data(pathlib.Path(tmp), _with(base_config("out"), path, value))
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert err.startswith("config error: ") and path[-1] in err, err
+    elif code == 2:
+        assert err.startswith("error: "), err
+    assert err.count("\n") == int(code != 0), err
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+@pytest.mark.parametrize("workload", ["readme", "scoring", "idx-wide"])
+def test_benchmark_configs_pass_the_schema(tmp_path, workload, smoke):
+    workloads = _load_workloads()
+    assert workload in workloads.WORKLOADS
+    cfg_path = str(tmp_path / workloads.write_inputs(workload, 3, smoke, str(tmp_path)))
+    cfg = load_config(cfg_path, build_parser().parse_args(["gen-data", "--config", cfg_path]))
+    assert cfg.rates == workloads.RATES
+
+
+def _readme():
+    with open(os.path.join(REPO, "README.md")) as fh:
+        return fh.read()
+
+
+def test_readme_config_passes_the_schema(tmp_path):
+    block = _readme().split("A minimal synthetic config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(block)
+    args = build_parser().parse_args(["gen-data", "--config", str(cfg_path)])
+    assert load_config(str(cfg_path), args).rates == (0.0, 0.05, 0.1)
+
+
+def _schema_rows(schema, prefix=""):
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from _schema_rows(rule, f"{prefix}{key}.")
+        else:
+            kind, default = rule
+            shown = "required" if default is MISSING else f"`{json.dumps(default)}`"
+            yield f"`{prefix}{key}`", f"`{kind}`", shown
+
+
+def test_readme_config_reference_matches_the_schema():
+    rows = [tuple(cell.strip().replace("\\|", "|") for cell in line.strip("|").split(" | "))
+            for line in _readme().splitlines() if line.startswith("| `")]
+    assert [r[0] for r in rows] == [r[0] for r in _schema_rows(_SCHEMA)]
+    assert rows == list(_schema_rows(_SCHEMA))
 
 
 def test_train_config_recorded_for_valid_train_keys(pipeline):

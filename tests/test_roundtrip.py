@@ -182,7 +182,7 @@ def test_train_config_validation():
 
 def test_train_config_dict_roundtrip():
     cfg = TrainConfig(epochs=7, w_mmd=8.0, seed=3, bandwidth=2.5)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**cfg.to_dict()) == cfg
 
 
 def test_architecture_validation():
