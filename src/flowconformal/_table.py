@@ -4,12 +4,24 @@ A table is one header line of comma-separated column names, then one line
 per row. The header is a fixed run of names, optionally followed by at least
 one ``<prefix><int>`` column (``f_1``, ``pi_3``, ``p_2``) holding floats.
 Floats are written with 17 significant digits (``FLOAT``), so a float64
-survives a write/read round trip exactly. Reading skips blank lines and
-raises DataError naming the file and the line of the first row with the
-wrong field count or a field that does not parse.
+survives a write/read round trip exactly.
+
+Reading parses a block of about ``_BLOCK_FIELDS`` fields at a time: the
+block's stripped, non-blank lines are joined and split once, each int or
+float column is converted with one ``map`` into an array, and the prefixed
+columns with one ``map(float)``. Any other parser (a str -> value function
+such as the set-token check) runs once per distinct field value, memoised
+across blocks. Memory stays near the text of one block plus twice the
+output arrays (the blocks, then their concatenation); parsing the whole file
+at once would hold every field of it as a Python string. Blank lines are
+skipped. A block that fails any check is rescanned line by line, so the
+DataError names the file and the line of the first row with the wrong field
+count, a field that does not parse, or an int outside int64.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -17,6 +29,8 @@ from .errors import DataError
 
 FLOAT = "%.17g"
 _CHUNK = 256  # rows turned into Python objects at a time, so memory stays near the text size
+_BLOCK_FIELDS = 16384  # fields parsed at a time by read_table
+_DTYPES = {int: np.int64, float: np.float64}
 
 
 def write_table(path: str, header, columns, formats) -> None:
@@ -61,21 +75,67 @@ def read_table(path: str, names, parsers, prefix: str | None = None):
                 raise DataError(f"{path}: malformed column {col!r} in header {header!r}") from None
         if prefix is not None and not keys:
             raise DataError(f"{path}: header {header!r} has no {prefix}<int> column")
-        fixed, block = [], []
-        for ln, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != len(fields):
-                raise DataError(f"{path}:{ln}: expected {len(fields)} fields, got {len(parts)}")
+        n = len(fields)
+        memos = [{} for _ in parsers]
+        # an empty block first, so every column concatenates to the right dtype and shape
+        blocks = [[col] for col in _parse_block([], n, parsers, memos, bool(keys))]
+        ln = 2
+        while lines := list(islice(fh, max(1, _BLOCK_FIELDS // n))):
             try:
-                fixed.append([parse(field) for parse, field in zip(parsers, parts)])
-                block.append(list(map(float, parts[k:])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-    cols = [list(col) for col in zip(*fixed)] if fixed else [[] for _ in parsers]
-    out = [np.asarray(col, dtype={int: np.int64, float: np.float64}[parse])
-           if parse in (int, float) else col for col, parse in zip(cols, parsers)]
+                cols = _parse_block(lines, n, parsers, memos, bool(keys))
+            except (ValueError, OverflowError):
+                _rescan(path, ln, lines, n, parsers)
+                raise  # the line loop accepts what the block parse rejected: a reader bug
+            for acc, col in zip(blocks, cols):
+                acc.append(col)
+            ln += len(lines)
+    out = [np.concatenate(col) if parse in _DTYPES else list(chain.from_iterable(col))
+           for col, parse in zip(blocks, parsers)]
     if keys:
-        out.append(np.asarray(block, dtype=np.float64).reshape(len(block), len(keys)))
+        out.append(np.concatenate(blocks[-1]))
     return tuple(keys), out
+
+
+def _parse_block(lines, n, parsers, memos, prefixed):
+    """The columns of one block of lines, then with ``prefixed`` its
+    (rows, n - len(parsers)) float array; ValueError or OverflowError on any
+    bad line, left for ``_rescan`` to name."""
+    rows = list(filter(None, map(str.strip, lines)))
+    if not set(map(str.count, rows, repeat(","))) <= {n - 1}:
+        raise ValueError("field count")
+    parts = ",".join(rows).split(",") if rows else []
+    cols = []
+    for j, (parse, memo) in enumerate(zip(parsers, memos)):
+        col = parts[j::n]
+        if parse in _DTYPES:
+            cols.append(np.fromiter(map(parse, col), _DTYPES[parse], len(col)))
+        else:
+            for token in set(col).difference(memo):
+                memo[token] = parse(token)
+            cols.append(list(map(memo.__getitem__, col)))
+    if prefixed:
+        # drop the named columns in place; the prefixed fields are left row by row
+        for j in range(len(parsers)):
+            del parts[::n - j]
+        cols.append(np.fromiter(map(float, parts), np.float64, len(parts))
+                    .reshape(len(rows), n - len(parsers)))
+    return cols
+
+
+def _rescan(path, ln, lines, n, parsers) -> None:
+    """Parse ``lines``, which start at file line ``ln``, one at a time, and
+    raise the DataError of the first bad one."""
+    for ln, line in enumerate(lines, start=ln):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != n:
+            raise DataError(f"{path}:{ln}: expected {n} fields, got {len(parts)}")
+        try:
+            row = [parse(field) for parse, field in zip(parsers, parts)]
+            list(map(float, parts[len(parsers):]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from None
+        for value, parse, field in zip(row, parsers, parts):
+            if parse is int and not -2**63 <= value < 2**63:
+                raise DataError(f"{path}:{ln}: int field {field.strip()!r} is outside int64")

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor
 from ._table import FLOAT, read_table, write_table
 from .errors import ConfigError, DataError
-from .nn import Adam, Mlp, MlpSpec
+from .nn import Adam, Mlp, MlpSpec, hidden_widths
 
 __all__ = [
     "ClassifierConfig",
@@ -45,9 +45,10 @@ class ClassifierConfig:
     lr: float = 5e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        object.__setattr__(self, "hidden", hidden_widths("hidden", self.hidden))
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
 

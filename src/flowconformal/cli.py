@@ -186,6 +186,15 @@ def _walk(doc: dict, schema: dict, where: str) -> dict:
     return out
 
 
+def _checked(section: str, cls, **values):
+    """``cls(**values)``; its range errors, which start with the field name,
+    name the key under ``section``."""
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; built before any stage runs."""
@@ -211,6 +220,7 @@ class ExperimentConfig:
         if v["seed"] < 0:
             raise ConfigError(f"config.seed must be >= 0, got {v['seed']}")
         dataset = v["dataset"]
+        dim = None  # an IDX input dimension is known only once the images load
         if "synthetic" in dataset:
             syn = dataset["synthetic"]
             for key, low in (("train_per_class", 1), ("calibration_per_class", 0),
@@ -231,7 +241,9 @@ class ExperimentConfig:
 
         model = v["model"]
         train = model.pop("train")
-        TrainConfig(**train)  # range checks now, before any stage runs
+        # range checks now, before any stage runs
+        _checked("model", FlowArchitecture, input_dim=dim or model["latent_dim"], **model)
+        _checked("model.train", TrainConfig, **train)
 
         rates = v["contamination"]["rates"]
         if not rates or len(set(rates)) != len(rates) or not all(0.0 <= r < 1.0 for r in rates):
@@ -246,8 +258,9 @@ class ExperimentConfig:
 
         return cls(raw=doc, seed=v["seed"], out_dir=v["out_dir"], normalize=v["normalize"],
                    dataset=dataset, model=model, train=train,
-                   conformal=ConformalConfig(**v["conformal"]), rates=rates,
-                   baselines_enabled=enabled, classifier=ClassifierConfig(**base),
+                   conformal=_checked("conformal", ConformalConfig, **v["conformal"]),
+                   rates=rates, baselines_enabled=enabled,
+                   classifier=_checked("baselines", ClassifierConfig, **base),
                    calibration_fraction=frac)
 
     def effective_dict(self) -> dict:

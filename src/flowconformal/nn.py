@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ACTIVATION_TABLE, Tensor
+from .errors import ConfigError
 
 __all__ = [
     "ACTIVATIONS",
     "MlpSpec",
     "Mlp",
+    "hidden_widths",
     "Adam",
     "to_json",
     "mlp_to_dict",
@@ -43,6 +45,14 @@ __all__ = [
 ACTIVATIONS = tuple(ACTIVATION_TABLE)
 
 _FORMAT_VERSION = 1
+
+
+def hidden_widths(name: str, widths) -> tuple[int, ...]:
+    """The config field ``name``'s hidden layer widths as ints, each >= 1."""
+    widths = tuple(int(w) for w in widths)
+    if min(widths, default=1) < 1:
+        raise ConfigError(f"{name} widths must be >= 1, got {list(widths)}")
+    return widths
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .autodiff import Tensor
 from .datasets import OUTLIER
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, MEDIAN_HEURISTIC, mmd2_unbiased_graph, resolve_bandwidth
-from .nn import Adam, Mlp, MlpSpec, mlp_from_dict, mlp_to_dict, to_json
+from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict, to_json
 
 __all__ = [
     "LatentSpec",
@@ -85,13 +85,14 @@ class FlowArchitecture:
     disc_hidden: tuple[int, ...] = (48, 48)
 
     def __post_init__(self):
-        object.__setattr__(self, "gen_hidden", tuple(int(w) for w in self.gen_hidden))
-        object.__setattr__(self, "inv_hidden", tuple(int(w) for w in self.inv_hidden))
-        object.__setattr__(self, "disc_hidden", tuple(int(w) for w in self.disc_hidden))
+        for name in ("gen_hidden", "inv_hidden", "disc_hidden"):
+            object.__setattr__(self, name, hidden_widths(name, getattr(self, name)))
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         # latent dims up to the input dim are allowed so 1-D data can use d=1
-        if not 1 <= self.latent_dim <= self.input_dim:
+        if self.latent_dim > self.input_dim:
             raise ConfigError(
                 f"latent_dim must lie in [1, input_dim={self.input_dim}], got {self.latent_dim}"
             )

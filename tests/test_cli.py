@@ -12,6 +12,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import struct
 import tempfile
@@ -25,7 +26,8 @@ from flowconformal import roundtrip
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_set_matrix
 from flowconformal.datasets import load_dataset_csv
-from flowconformal.errors import ConfigError
+from flowconformal.errors import ConfigError, DataError
+from table_oracle import read_table as oracle_read
 
 ALPHA = 0.05
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -195,6 +197,12 @@ def _run_gen_data(tmp_path, doc):
     (("dataset", "synthetic", "outlier", "mean"), [12.0, 12.0], "outlier.mean"),
     (("dataset", "synthetic", "train_per_class"), 0, "train_per_class"),
     (("dataset", "synthetic", "outlier", "n"), 0, "outlier.n"),
+    (("model", "gen_hidden"), [0], "gen_hidden"),
+    (("model", "inv_hidden"), [-3], "inv_hidden"),
+    (("model", "disc_hidden"), [8, 0], "disc_hidden"),
+    (("baselines", "hidden"), [0], "hidden"),
+    (("model", "latent_dim"), 0, "latent_dim"),
+    (("model", "latent_dim"), 2, "latent_dim"),  # the class means are 1-D
 ])
 def test_bad_config_value_exits_one_naming_its_key(tmp_path, path, value, named):
     doc = _with(base_config(tmp_path / "out"), path, value)
@@ -464,6 +472,90 @@ def test_predict_accepts_explicit_test_file(pipeline):
     assert main(["predict", "--config", cfg_path, "--test-file", str(custom)]) == 0
     assert (out / "predictions" / "pvalues_custom_arm.csv").exists()
     assert (out / "predictions" / "sets_custom_arm.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def out_copy(pipeline, tmp_path_factory):
+    """A copy of the pipeline's output directory, for tests that write into it."""
+    cfg_path, out = pipeline
+    copy = tmp_path_factory.mktemp("copy") / "out"
+    shutil.copytree(out, copy)
+    return cfg_path, copy
+
+
+def _predict_file(cfg_path, out, test_file):
+    """(exit code, stderr) of predict on ``test_file`` into ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["predict", "--config", cfg_path, "--out", str(out),
+                     "--test-file", str(test_file)])
+    return code, err.getvalue()
+
+
+def test_predict_names_the_line_of_an_oversized_label(out_copy):
+    cfg_path, out = out_copy
+    lines = (out / "data" / "test_c10.csv").read_text().splitlines()
+    lines[1] = "99999999999999999999" + lines[1][lines[1].index(","):]
+    path = out / "data" / "test_c5.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _predict_file(cfg_path, out, path)
+    assert code == 2
+    assert err == f"error: {path}:2: int field '99999999999999999999' is outside int64\n"
+
+
+@st.composite
+def _mutated_arms(draw, text):
+    """``text``, a dataset table, with one to three of: a comma dropped or
+    added, a field replaced by junk, and a blank or whitespace-only line."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop_comma", "add_comma", "field", "blank"]))
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", " \r"])))
+            continue
+        fields = lines[i].split(",")
+        if kind == "drop_comma" and len(fields) > 1:
+            j = draw(st.integers(1, len(fields) - 1))
+            fields[j - 1:j + 1] = [fields[j - 1] + fields[j]]
+        elif kind == "add_comma":
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["", "1"])))
+        else:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(
+                ["x", "", "99999999999999999999", "nan", "1e999", "-1e999", " 2 "]))
+        lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_predict_on_a_mutated_arm_exits_cleanly(out_copy, data):
+    cfg_path, out = out_copy
+    text = data.draw(_mutated_arms((out / "data" / "test_c10.csv").read_text()))
+    path = out / "data" / "fuzz.csv"
+    path.write_text(text)
+    try:
+        oracle_read(str(path), ("label",), (int,), prefix="f_")
+        expected = None
+    except DataError as exc:
+        expected = f"error: {exc}\n"
+    except OverflowError:  # raised after every line is read: no line to name
+        expected = OverflowError
+    code, err = _predict_file(cfg_path, out, path)
+    oversized = re.fullmatch(rf"error: {re.escape(str(path))}:(\d+): int field .* is outside "
+                             rf"int64\n", err)
+    if oversized:
+        # the line loop meets an oversized int only after every line parses
+        assert code == 2 and (expected is OverflowError or _line_named(expected, path)
+                              > int(oversized.group(1))), (err, expected)
+    elif expected is None:
+        assert code == 0 or code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert (code, err) == (2, expected)
+
+
+def _line_named(message, path):
+    return int(re.match(rf"error: {re.escape(str(path))}:(\d+): ", message).group(1))
 
 
 # -- evaluate --------------------------------------------------------------------------------
