@@ -6,17 +6,30 @@ one ``<prefix><int>`` column (``f_1``, ``pi_3``, ``p_2``) holding floats.
 Floats are written with 17 significant digits (``FLOAT``), so a float64
 survives a write/read round trip exactly.
 
+Writing formats ``_CHUNK`` rows at a time. When at least a third of a
+sample of the chunk's float values repeats an earlier one (``_repeats``;
+8-bit image pixels, p-values that take at most n+1 values), each distinct bit
+pattern of the chunk is formatted once with its column's format and the rows
+are joined from those strings. Keying on the bit pattern keeps ``-0.0`` apart
+from ``0.0``, and a value formats to the same text wherever it stands, so the
+bytes are those of formatting every value. Other chunks format each row
+with one ``%``: Gaussian floats never repeat, and where most floats differ
+the memo costs more than it saves.
+
 Reading parses a block of about ``_BLOCK_FIELDS`` fields at a time: the
 block's stripped, non-blank lines are joined and split once, each int or
 float column is converted with one ``map`` into an array, and the prefixed
-columns with one ``map(float)``. Any other parser (a str -> value function
-such as the set-token check) runs once per distinct field value, memoised
-across blocks. Memory stays near the text of one block plus twice the
-output arrays (the blocks, then their concatenation); parsing the whole file
-at once would hold every field of it as a Python string. Blank lines are
-skipped. A block that fails any check is rescanned line by line, so the
-DataError names the file and the line of the first row with the wrong field
-count, a field that does not parse, or an int outside int64.
+columns with one ``map(float)``. When at least a third of a sample of a
+block's float fields repeats, ``float`` runs once per distinct field text of
+the block, through a memo; a text always parses to the same value, so the
+arrays are unchanged. Any other parser (a str -> value function such as the
+set-token check) runs once per distinct field value, memoised across blocks.
+Memory stays near the text of one block plus twice the output arrays (the
+blocks, then their concatenation); parsing the whole file at once would hold
+every field of it as a Python string. Blank lines are skipped. A block that
+fails any check is rescanned line by line, so the DataError names the file
+and the line of the first row with the wrong field count, a field that does
+not parse, or an int outside int64.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from .errors import DataError
 FLOAT = "%.17g"
 _CHUNK = 256  # rows turned into Python objects at a time, so memory stays near the text size
 _BLOCK_FIELDS = 16384  # fields parsed at a time by read_table
+_SAMPLE = 256  # values of a block that _repeats looks at
 _DTYPES = {int: np.int64, float: np.float64}
 
 
@@ -41,12 +55,40 @@ def write_table(path: str, header, columns, formats) -> None:
     """
     columns = [np.asarray(col) for col in columns]
     fmt = ",".join(formats)
+    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
+    stride = max(1, _CHUNK * len(floats) // _SAMPLE)
     lines = [",".join(header)]
     for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
+        if floats and _repeats(np.concatenate([columns[j][start:start + _CHUNK:stride]
+                                               for j in floats]).view(np.int64).tolist()):
+            lines.extend(_memo_lines([col[start:start + _CHUNK] for col in columns],
+                                     formats, floats))
+            continue
         rows = zip(*(col[start:start + _CHUNK].tolist() for col in columns))
         lines.extend(map(fmt.__mod__, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _repeats(sample: list) -> bool:
+    """Whether at least a third of ``sample`` repeats an earlier value."""
+    return len(set(sample)) * 3 <= len(sample) * 2
+
+
+def _memo_lines(chunk, formats, floats):
+    """The lines of the equal-length columns ``chunk``; the float columns
+    ``floats`` format each distinct bit pattern once per format."""
+    cells = np.empty((len(chunk[0]), len(chunk)), dtype=object)
+    for j, (col, form) in enumerate(zip(chunk, formats)):
+        if j not in floats:
+            cells[:, j] = np.array(list(map(form.__mod__, col.tolist())), dtype=object)
+    for form in {formats[j] for j in floats}:
+        js = [j for j in floats if formats[j] == form]
+        bits = np.stack([chunk[j] for j in js], axis=1).view(np.int64)
+        distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+        text = np.array(list(map(form.__mod__, distinct.view(np.float64).tolist())), dtype=object)
+        cells[:, js] = text[inverse.reshape(bits.shape)]
+    return map(",".join, cells.tolist())
 
 
 def read_table(path: str, names, parsers, prefix: str | None = None):
@@ -107,7 +149,9 @@ def _parse_block(lines, n, parsers, memos, prefixed):
     cols = []
     for j, (parse, memo) in enumerate(zip(parsers, memos)):
         col = parts[j::n]
-        if parse in _DTYPES:
+        if parse is float:
+            cols.append(_floats(col))
+        elif parse in _DTYPES:
             cols.append(np.fromiter(map(parse, col), _DTYPES[parse], len(col)))
         else:
             for token in set(col).difference(memo):
@@ -117,9 +161,16 @@ def _parse_block(lines, n, parsers, memos, prefixed):
         # drop the named columns in place; the prefixed fields are left row by row
         for j in range(len(parsers)):
             del parts[::n - j]
-        cols.append(np.fromiter(map(float, parts), np.float64, len(parts))
-                    .reshape(len(rows), n - len(parsers)))
+        cols.append(_floats(parts).reshape(len(rows), n - len(parsers)))
     return cols
+
+
+def _floats(fields: list) -> np.ndarray:
+    """``float`` of each field; once per distinct field when a sample repeats."""
+    parse = float
+    if _repeats(fields[::max(1, len(fields) // _SAMPLE)]):
+        parse = {field: float(field) for field in set(fields)}.__getitem__
+    return np.fromiter(map(parse, fields), np.float64, len(fields))
 
 
 def _rescan(path, ln, lines, n, parsers) -> None:

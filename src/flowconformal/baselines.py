@@ -104,17 +104,32 @@ def train_softmax_classifier(
         perm = rng.permutation(n)
         for step in range(steps):
             sel = perm[step * batch:(step + 1) * batch]
-            logits = net(Tensor(x[sel]))
-            shift = Tensor(logits.data.max(axis=1, keepdims=True))
-            centered = logits - shift
-            log_norm = centered.exp().sum(axis=1, keepdims=True).log()
-            log_probs = centered - log_norm
-            loss = -((log_probs * Tensor(onehot[sel])).sum(axis=1).mean())
+            loss = _cross_entropy(net(Tensor(x[sel])), onehot[sel])
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite classifier loss {float(loss.data)}")
             loss.backward()
             opt.step()
     return SoftmaxClassifier(net, class_labels)
+
+
+def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Mean cross-entropy of softmax(logits) against the one-hot rows, as one
+    tape node. Forward and backward make the numpy calls of the Tensor ops
+    ``-((log_softmax(logits) * onehot).sum(axis=1).mean())`` in their order,
+    so values and gradients are bit-identical to that graph."""
+    centered = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(centered)
+    norm = e.sum(axis=1, keepdims=True)
+    log_probs = centered - np.log(norm)
+    scale = 1.0 / logits.data.shape[0]
+    loss = -((log_probs * onehot).sum(axis=1).sum() * scale)
+
+    def backward(g):
+        g_log_probs = np.broadcast_to(-g * scale, logits.data.shape) * onehot
+        g_norm = (-g_log_probs).sum(axis=1, keepdims=True) / norm
+        logits._accum(g_log_probs + g_norm * e)
+
+    return logits._make(loss, (logits,), backward)
 
 
 def _check_probs(probs: np.ndarray) -> np.ndarray:

@@ -359,6 +359,8 @@ def cmd_gen_data(cfg: ExperimentConfig) -> list[str]:
         train, calib, test, outliers = _gen_synthetic(cfg)
     else:
         train, calib, test, outliers = _load_idx_splits(cfg)
+        # the image size is known only now; check the latent size before writing
+        _checked("model", FlowArchitecture, input_dim=train.dim, **cfg.model)
 
     written = []
     for name, ds in (("train.csv", train), ("calibration.csv", calib),

@@ -184,10 +184,13 @@ def save_sets(path: str, labels, member: np.ndarray) -> None:
     member = np.asarray(member, dtype=bool)
     if member.ndim != 2 or member.shape[1] != labels.size:
         raise DataError(f"membership shape {member.shape} != (n, {labels.size})")
-    distinct, row_of = np.unique(member, axis=0, return_inverse=True)
-    tokens = ["|".join(map(str, labels[keep].tolist())) or OUTLIER_TOKEN for keep in distinct]
+    # one void value per row of packed bits, so the distinct rows come from a flat sort
+    packed = np.ascontiguousarray(np.packbits(member, axis=1))
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, row_of = np.unique(codes, return_index=True, return_inverse=True)
+    tokens = ["|".join(map(str, labels[member[i]].tolist())) or OUTLIER_TOKEN for i in first]
     write_table(path, ("sample_id", "set"),
-                [np.arange(member.shape[0]), np.asarray(tokens, dtype=object)[row_of.ravel()]],
+                [np.arange(member.shape[0]), np.asarray(tokens, dtype=object)[row_of]],
                 ("%d", "%s"))
 
 

@@ -1,9 +1,11 @@
-"""The line-at-a-time CSV table reader that ``_table.read_table`` replaced,
-kept verbatim as the oracle of the block reader's differential tests.
+"""The CSV table codec as it was before ``_table`` read a block at a time
+and formatted each distinct float once, kept verbatim as the oracle of the
+differential tests.
 
-It returns the same values and raises the same path:line DataErrors, except
-that an int field outside int64 escapes here as a bare OverflowError from the
-final array conversion.
+``write_table`` formats every value of every row. ``read_table`` reads a line
+at a time; it returns the same values and raises the same path:line
+DataErrors as the block reader, except that an int field outside int64
+escapes here as a bare OverflowError from the final array conversion.
 """
 
 from __future__ import annotations
@@ -11,6 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from flowconformal.errors import DataError
+
+_CHUNK = 256  # rows turned into Python objects at a time, so memory stays near the text size
+
+
+def write_table(path: str, header, columns, formats) -> None:
+    """Write ``header`` and one line per row of the equal-length ``columns``.
+
+    ``formats`` holds one printf-style format per column; the file is written
+    in one buffered call.
+    """
+    columns = [np.asarray(col) for col in columns]
+    fmt = ",".join(formats)
+    lines = [",".join(header)]
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
+        rows = zip(*(col[start:start + _CHUNK].tolist() for col in columns))
+        lines.extend(map(fmt.__mod__, rows))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_table(path: str, names, parsers, prefix: str | None = None):

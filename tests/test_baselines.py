@@ -2,15 +2,21 @@
 
 Oracles: hand-worked set constructions on exact binary-fraction probability
 rows, the order statistic defining the calibrated mass threshold, the
-finite-sample coverage guarantee of the calibrated baseline, and per-row
-reference loops that the vectorized membership matrices must match exactly.
+finite-sample coverage guarantee of the calibrated baseline, per-row
+reference loops that the vectorized membership matrices must match exactly,
+and the Tensor-op cross-entropy (``loss_oracle``) that the classifier's fused
+loss node must match bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowconformal import baselines
+from flowconformal.autodiff import Tensor
 from flowconformal.baselines import (
     ApsCalibration,
     ClassifierConfig,
@@ -22,6 +28,7 @@ from flowconformal.baselines import (
     train_softmax_classifier,
 )
 from flowconformal.errors import ConfigError, DataError
+from loss_oracle import tape_cross_entropy
 
 
 # -- scaling sets -----------------------------------------------------------------
@@ -255,6 +262,35 @@ def test_classifier_training_is_deterministic():
     a = train_softmax_classifier(x, y, ClassifierConfig(epochs=5), seed=9)
     b = train_softmax_classifier(x, y, ClassifierConfig(epochs=5), seed=9)
     assert np.array_equal(a.predict_proba(x), b.predict_proba(x))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(2, 6)),
+              elements=st.floats(-30.0, 30.0)), st.data())
+def test_fused_cross_entropy_matches_the_tape_graph(logits, data):
+    labels = data.draw(arrays(np.int64, logits.shape[0],
+                              elements=st.integers(0, logits.shape[1] - 1)))
+    onehot = np.eye(logits.shape[1])[labels]
+    results = []
+    for loss_fn in (baselines._cross_entropy, tape_cross_entropy):
+        x = Tensor(logits, requires_grad=True)
+        loss = loss_fn(x, onehot)
+        loss.backward()
+        results.append((np.asarray(loss.data).tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n, dim, classes, config", [
+    (300, 2, 3, ClassifierConfig(epochs=4)),
+    (90, 16, 9, ClassifierConfig(hidden=(8, 4), epochs=3, batch_size=7)),
+])
+def test_fused_cross_entropy_trains_the_tape_parameters(n, dim, classes, config):
+    rng = np.random.default_rng(dim)
+    x, y = rng.normal(size=(n, dim)), rng.integers(1, classes + 1, n)
+    fused = train_softmax_classifier(x, y, config, seed=5)
+    with mock.patch.object(baselines, "_cross_entropy", tape_cross_entropy):
+        tape = train_softmax_classifier(x, y, config, seed=5)
+    for a, b in zip(fused.net.parameters(), tape.net.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_classifier_rejects_degenerate_inputs():

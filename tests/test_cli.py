@@ -6,6 +6,7 @@ re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -22,11 +23,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowconformal import roundtrip
+from flowconformal import baselines, roundtrip
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_set_matrix
 from flowconformal.datasets import load_dataset_csv
 from flowconformal.errors import ConfigError, DataError
+from loss_oracle import tape_cross_entropy
 from table_oracle import read_table as oracle_read
 
 ALPHA = 0.05
@@ -98,6 +100,70 @@ def test_invalid_json_config_exits_one(tmp_path):
 def test_invalid_config_value_exits_one(tmp_path):
     cfg_path, _ = write_config(tmp_path, contamination={"rates": [0.0, 2.0]})
     assert main(["gen-data", "--config", cfg_path]) == 1
+
+
+def test_gen_data_rejects_a_latent_size_above_the_image_size(tmp_path, capsys):
+    tri, trl = _idx_pair(tmp_path, "train", [0, 1] * 6, 0)
+    tei, tel = _idx_pair(tmp_path, "test", [0, 1] * 3, 7)
+    out_dir = tmp_path / "out"
+    doc = {"seed": 1, "out_dir": str(out_dir),
+           "dataset": {"idx": {"train_images": tri, "train_labels": trl,
+                               "test_images": tei, "test_labels": tel}},
+           "model": {"latent_dim": 8},
+           "contamination": {"rates": [0.0]}}
+    cfg_path = tmp_path / "idx.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: model.latent_dim must lie in [1, input_dim=4], got 8\n")
+    assert not list((out_dir / "data").glob("*"))
+
+
+# sha256 of each data/ file that gen-data writes from the arithmetic IDX
+# files below. The path from IDX bytes to CSV text (pixel scaling, the
+# stratified split, the contamination draw, the table codec) calls no BLAS or
+# LAPACK, so these bytes are the same on any machine with this numpy.
+GOLDEN_IDX_DIGESTS = {
+    "calibration.csv":
+        "be16312b3e3b84f6a74f6d99cc6b77b2c83f92de4dd55494cdd75db75e369a0e",
+    "outliers.csv":
+        "eb21ab3e65fa17ecac1b10fff3a3c791a12058dda55f03606d9c8c33a99a867b",
+    "test_c0.csv":
+        "864194271121f64a2ef00efadb54d59cabaea41a8756855367eb7e4fe9670d72",
+    "test_c10.csv":
+        "9c1e2a83522b3fd0376c7bbb953a2238e42d400e9248d6b1d513bc59c2bae34c",
+    "train.csv":
+        "fc384d4049592b2b50072a4954e2c6d7699d12511f3caf1212de9acda9fc746c",
+}
+
+
+def _arithmetic_idx(tmp_path, stem, n):
+    """IDX files of ``n`` 4x4 images whose pixels take 23 levels, set by the
+    row and pixel index, with raw labels 0-3 in turn."""
+    row, pixel = np.ogrid[:n, :16]
+    pixels = ((7 * row + 13 * pixel) % 23 * 11).astype(np.uint8)
+    (tmp_path / f"{stem}-images.idx").write_bytes(
+        struct.pack(">iiii", 0x00000803, n, 4, 4) + pixels.tobytes())
+    (tmp_path / f"{stem}-labels.idx").write_bytes(
+        struct.pack(">ii", 0x00000801, n) + bytes(i % 4 for i in range(n)))
+    return str(tmp_path / f"{stem}-images.idx"), str(tmp_path / f"{stem}-labels.idx")
+
+
+def test_gen_data_from_idx_files_matches_the_golden_digests(tmp_path):
+    tri, trl = _arithmetic_idx(tmp_path, "train", 700)
+    tei, tel = _arithmetic_idx(tmp_path, "test", 200)
+    out_dir = tmp_path / "out"
+    doc = {"seed": 5, "out_dir": str(out_dir),
+           "dataset": {"idx": {"train_images": tri, "train_labels": trl,
+                               "test_images": tei, "test_labels": tel,
+                               "holdout_raw_label": 3, "calibration_fraction": 0.25}},
+           "contamination": {"rates": [0.0, 0.1]}}
+    cfg_path = tmp_path / "idx.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted((out_dir / "data").iterdir())}
+    assert digests == GOLDEN_IDX_DIGESTS
 
 
 @pytest.mark.parametrize("train, key", [
@@ -613,6 +679,22 @@ def test_evaluate_places_set_columns_by_class_label(pipeline, tmp_path):
     (copy / "predictions" / "sets_c0.csv").write_text("sample_id,set\n0,7\n")
     assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
                  "--baselines", "off"]) == 2
+
+
+def test_evaluate_with_the_tape_cross_entropy_writes_the_same_bytes(pipeline, tmp_path,
+                                                                   monkeypatch):
+    # the fused classifier loss trains the parameters the Tensor-op graph trains
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    monkeypatch.setattr(baselines, "_cross_entropy", tape_cross_entropy)
+    assert main(["evaluate", "--config", cfg_path, "--out", str(copy)]) == 0
+    names = [*sorted((out / "predictions").glob("probs_*.csv")),
+             *sorted((out / "reports").glob("report_[as]*.json")),
+             out / "reports" / "comparison.csv"]
+    assert len(names) == 2 + 2 * 2 + 1
+    for path in names:
+        assert (copy / path.relative_to(out)).read_bytes() == path.read_bytes(), path.name
 
 
 def test_baselines_off_limits_comparison_to_flow(tmp_path):

@@ -2,8 +2,8 @@
 
 Oracles: literal expected text for each of the seven table kinds written from
 fixed hand-made inputs (no trained weights or BLAS involved), exact
-write/read round trips, path:line errors from every loader, and the
-line-at-a-time reader the block reader replaced (``table_oracle``).
+write/read round trips, path:line errors from every loader, and the codec the
+block reader and the memoising writer replaced (``table_oracle``).
 """
 
 import re
@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import table_oracle
 from flowconformal import _table
-from flowconformal._table import read_table
+from flowconformal._table import FLOAT, read_table, write_table
 from flowconformal.baselines import load_prob_matrix, save_prob_matrix
 from flowconformal.conformal import (
     ScorePool,
@@ -66,6 +66,14 @@ def test_sets_text(tmp_path):
     member = np.array([[True, False, True], [False, False, False], [False, True, False]])
     save_sets(str(path), (1, 2, 5), member)
     assert path.read_text() == "sample_id,set\n0,1|5\n1,OUTLIER\n2,2\n"
+
+
+def test_sets_text_of_a_column_major_membership(tmp_path):
+    member = np.asfortranarray(np.random.default_rng(2).random((40, 9)) < 0.3)
+    save_sets(str(tmp_path / "f.csv"), range(1, 10), member)
+    save_sets(str(tmp_path / "c.csv"), range(1, 10), np.ascontiguousarray(member))
+    assert (tmp_path / "f.csv").read_text() == (tmp_path / "c.csv").read_text()
+    assert load_sets(str(tmp_path / "f.csv"))[2].tolist() == member[:, member.any(axis=0)].tolist()
 
 
 def test_probabilities_text(tmp_path):
@@ -340,9 +348,14 @@ def _assert_matches_oracle(path):
 @st.composite
 def tables(draw):
     """(kind, text) of a table with mostly good rows, some bad fields and
-    lines of the wrong width, blank lines, CRLF ends and padded fields."""
+    lines of the wrong width, blank lines, CRLF ends and padded fields; in
+    about half of them the good floats come from a pool of at most six."""
     kind = draw(st.sampled_from(sorted(TABLES)))
     names, parsers, prefix = TABLES[kind]
+    fields = dict(FIELDS)
+    pool = draw(st.one_of(st.none(), st.lists(GOOD_FLOATS, min_size=1, max_size=6)))
+    if pool:  # low-cardinality floats, so the reader's float memo runs
+        fields[float] = (st.sampled_from(pool), BAD_FLOATS)
     width = draw(st.sampled_from([1, 2, 3, 64])) if prefix else 0
     header = ",".join([*names, *(f"{prefix}{j + 1}" for j in range(width))])
     columns = [*parsers, *[float] * width]
@@ -352,7 +365,7 @@ def tables(draw):
         if draw(st.floats(0, 1)) < 0.1:
             lines.append(draw(st.sampled_from(["", " ", "\t", "  \x0b"])))
             continue
-        row = [draw(FIELDS[parse][draw(st.floats(0, 1)) < bad_share]) for parse in columns]
+        row = [draw(fields[parse][draw(st.floats(0, 1)) < bad_share]) for parse in columns]
         if draw(st.floats(0, 1)) < bad_share / 4:
             row = row[:-1] if draw(st.booleans()) else row + ["1"]
         lines.append(",".join(row))
@@ -440,3 +453,107 @@ def test_block_reader_memory_stays_below_the_line_oracle(tmp_path):
     oracle = _traced_peak(table_oracle.read_table, path)
     block = _traced_peak(read_table, path)
     assert block <= 2 / 3 * oracle, (block, oracle)
+
+
+# -- the memoising writer against the format-every-value oracle ---------------------------
+
+# small pools of floats whose text is easy to get wrong when values are shared
+FLOAT_POOLS = {
+    "pixels": np.arange(256) / 255.0,
+    "signed_zeros": np.array([0.0, -0.0, 1.0, -1.0]),
+    "subnormals": np.array([5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.0]),
+    "last_bit": np.array([np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0),
+                          1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)]),
+    "specials": np.array([np.inf, -np.inf, np.nan, 1e308, -1e-300]),
+}
+
+
+def _float_column(rng, mode, n):
+    """``n`` floats: drawn from one pool, all distinct, or any float64 bit pattern."""
+    if mode in FLOAT_POOLS:
+        return rng.choice(FLOAT_POOLS[mode], n)
+    if mode == "distinct":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+    return rng.integers(-2**63, 2**63, n, dtype=np.int64, endpoint=False).view(np.float64)
+
+
+def _layout(kind, rng, n, floats):
+    """(header, columns, formats) of a ``kind`` table of ``n`` rows, its float
+    columns from ``floats(width)``, as the module that writes it lays it out."""
+    ids = np.arange(n)
+    if kind in ("dataset", "p_values"):
+        width = int(rng.choice([1, 2, 3, 9, 64]))
+        prefix, first = ("f_", rng.integers(0, 10, n)) if kind == "dataset" else ("pi_", ids)
+        return ([("label" if kind == "dataset" else "sample_id"),
+                 *(f"{prefix}{j + 1}" for j in range(width))],
+                [first, *floats(width)], ["%d"] + [FLOAT] * width)
+    if kind == "pools":
+        return ("class", "score"), [rng.integers(1, 4, n), *floats(1)], ("%d", FLOAT)
+    if kind == "sets":
+        tokens = np.asarray(["1|2", "OUTLIER", "3"], dtype=object)[rng.integers(0, 3, n)]
+        return ("sample_id", "set"), [ids, tokens], ("%d", "%s")
+    if kind == "histogram":
+        return ("bin_left", "bin_right", "count"), [*floats(2), rng.integers(0, 9, n)], \
+            (FLOAT, FLOAT, "%d")
+    methods = np.asarray(["flow", "scaling", "aps"])[rng.integers(0, 3, n)]
+    return COMPARISON, [methods, *floats(4)], ("%s", "%g", "%.6f", "%.6f", "%.6f")
+
+
+WRITE_KINDS = ("dataset", "p_values", "pools", "sets", "histogram", "comparison")
+FLOAT_MODES = (*FLOAT_POOLS, "distinct", "bits")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(WRITE_KINDS),
+       st.one_of(st.sampled_from([0, 1, 255, 256, 257]), st.integers(0, 700)),
+       st.lists(st.sampled_from(FLOAT_MODES), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_writer_matches_the_format_every_value_oracle(tmp_path_factory, kind, n, modes, seed):
+    """Same bytes as the oracle for every table layout, with float columns
+    from small pools, all distinct or of any bit pattern, mixed by column."""
+    rng = np.random.default_rng(seed)
+    floats = lambda width: [_float_column(rng, modes[j % len(modes)], n) for j in range(width)]
+    header, columns, formats = _layout(kind, rng, n, floats)
+    tmp = tmp_path_factory.mktemp("write")
+    write_table(str(tmp / "got.csv"), header, columns, formats)
+    table_oracle.write_table(str(tmp / "want.csv"), header, columns, formats)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def _pixels(rows=4320, width=64):
+    """8-bit pixels k/255 around mid-grey, as the benchmark's IDX images."""
+    rng = np.random.default_rng(0)
+    levels = np.clip(np.rint(rng.normal(128.0, 25.0, (rows, width))), 0, 255)
+    return LabeledDataset(levels / 255.0, rng.integers(1, 10, rows))
+
+
+def test_memo_runs_on_repeated_floats_and_not_on_distinct_ones(tmp_path):
+    """Pixel chunks take the memo and Gaussian chunks the every-value loop."""
+    rng = np.random.default_rng(1)
+    for ds, calls in ((_pixels(512, 8), 2),
+                      (LabeledDataset(rng.standard_normal((600, 8)), np.ones(600, int)), 0)):
+        with mock.patch.object(_table, "_memo_lines", wraps=_table._memo_lines) as memo:
+            save_dataset_csv(ds, str(tmp_path / "d.csv"))
+        assert memo.call_count == calls
+        assert load_dataset_csv(str(tmp_path / "d.csv")).features.tobytes() == \
+            ds.features.tobytes()
+
+
+def _traced_write_peak(write, path, ds):
+    columns = [ds.labels, *ds.features.T]
+    tracemalloc.start()
+    try:
+        write(path, ["label", *(f"f_{j + 1}" for j in range(ds.dim))], columns,
+              ["%d"] + [FLOAT] * ds.dim)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_stays_at_most_the_oracle(tmp_path):
+    """On a 4,320 x 64 table of 8-bit pixels the memo path peaks no higher
+    than formatting every value: it holds one 256-row chunk at a time."""
+    ds = _pixels()
+    oracle = _traced_write_peak(table_oracle.write_table, str(tmp_path / "a.csv"), ds)
+    memo = _traced_write_peak(write_table, str(tmp_path / "b.csv"), ds)
+    assert memo <= oracle, (memo, oracle)
