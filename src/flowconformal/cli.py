@@ -455,26 +455,29 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
     if not train.class_labels():
         raise DataError("training data has no class rows")
 
-    written = []
-    norm = None
-    if cfg.normalize:
-        norm = fit_normalizer(train.features)
-        p = cfg.path("models", "normalizer.json")
-        with open(p, "w") as fh:
-            fh.write(to_json(norm.to_dict()) + "\n")
-        written.append(p)
+    norm = fit_normalizer(train.features) if cfg.normalize else None
     feats = _apply_norm(norm, train.features)
-
     arch = FlowArchitecture(input_dim=train.dim, **cfg.model)
     config = TrainConfig(**cfg.train, seed=cfg.seed)
-    for model, trace in train_class_flows(feats, train.labels, arch, config):
-        label = model.class_label
-        mp = cfg.path("models", f"class_{label}.json")
-        save_class_flow(model, mp)
-        tp = cfg.path("models", f"trace_class_{label}.json")
-        with open(tp, "w") as fh:
+    trained = train_class_flows(feats, train.labels, arch, config)
+
+    norm_path = cfg.path("models", "normalizer.json")
+    paths = [(cfg.path("models", f"class_{model.class_label}.json"),
+              cfg.path("models", f"trace_class_{model.class_label}.json"))
+             for model, _ in trained]
+    written = ([norm_path] if norm is not None else []) + [p for pair in paths for p in pair]
+    # later stages read every model file they find, so none may outlive its run
+    for pattern in ("normalizer.json", "class_*.json", "trace_class_*.json"):
+        for stale in set(glob.glob(cfg.path("models", pattern))) - set(written):
+            os.remove(stale)
+
+    if norm is not None:
+        with open(norm_path, "w") as fh:
+            fh.write(to_json(norm.to_dict()) + "\n")
+    for (model, trace), (model_path, trace_path) in zip(trained, paths):
+        save_class_flow(model, model_path)
+        with open(trace_path, "w") as fh:
             fh.write(to_json(trace.to_dict()) + "\n")
-        written.extend([mp, tp])
     _finish_stage(cfg, "train", written)
     return written
 

@@ -20,9 +20,15 @@ The latent reference distribution is standard normal. All randomness flows
 through one numpy Generator seeded from the config, so training is exactly
 reproducible.
 
+Each loss is one tape node whose closed-form backward makes the numpy calls
+of the Tensor-op graph it replaces, in the same order, so a training step
+records about 20 nodes (one per network call and one per loss) and its
+results are bit-identical to that graph's.
+
 Class models never read each other and each is seeded from its label, so
-``train_class_flows`` trains them in up to one process per usable CPU, this
-process included, and returns the same models as training them in turn.
+``train_class_flows`` trains each class in its own process, this process
+included, up to four processes per usable CPU, and returns the same models
+as training them in turn.
 """
 
 from __future__ import annotations
@@ -233,21 +239,84 @@ def generate(model: ClassFlowModel, z: np.ndarray) -> np.ndarray:
 
 
 # -- loss terms -----------------------------------------------------------------
+#
+# Each loss is one tape node over the network outputs it reads. Its forward and
+# closed-form backward make the numpy calls of the Tensor-op graph it replaces
+# (clip, log, sum, mean and negation; differences, squares, row sums and sqrt)
+# in that graph's order, so values and gradients are bit-identical to it. A
+# node lists its parents in that graph's order too: the tape visits parents
+# last-first, so a network called in several terms (the generator and inverse
+# map in the main step) still receives its gradient sum in the same order.
 
-def _log_prob(p: Tensor) -> Tensor:
-    return p.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR).log()
+def _mean_log_prob(p: np.ndarray):
+    """(mean log clip(p), g -> d/dp of g * mean log clip(p))."""
+    clipped = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    keep = (p >= _PROB_FLOOR) & (p <= 1.0 - _PROB_FLOOR)
+    scale = np.asarray(1.0 / p.size)
+
+    def grad(g):
+        return np.broadcast_to(g * scale, p.shape).astype(np.float64) / clipped * keep
+
+    return np.log(clipped).sum() * scale, grad
+
+
+def _mean_norm(diff: np.ndarray):
+    """(mean_i ||diff_i||, g -> d/d diff of g * mean_i ||diff_i||)."""
+    norms = np.sqrt((diff * diff).sum(axis=1))
+    scale = np.asarray(1.0 / norms.size)
+
+    def grad(g):
+        g_norms = np.broadcast_to(g * scale, norms.shape).astype(np.float64)
+        # subgradient 0 at a zero norm keeps the loss finite on perfect roundtrips
+        denom = 2.0 * norms
+        g_sq = np.where(denom > 0, g_norms / np.where(denom > 0, denom, 1.0), 0.0)
+        g_sq = np.broadcast_to(np.expand_dims(g_sq, 1), diff.shape).astype(np.float64)
+        return g_sq * diff + g_sq * diff
+
+    return norms.sum() * scale, grad
+
+
+def _logistic_loss(p_pos: Tensor, p_neg: Tensor) -> Tensor:
+    """-mean log p_pos - mean log(1 - p_neg), probabilities clipped away from 0 and 1."""
+    m_pos, grad_pos = _mean_log_prob(p_pos.data)
+    m_neg, grad_neg = _mean_log_prob(1.0 - p_neg.data)
+
+    def backward(g):
+        p_pos._accum(grad_pos(-g))
+        p_neg._accum(-grad_neg(-g))
+
+    return p_pos._make(-m_pos - m_neg, (p_pos, p_neg), backward)
+
+
+def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
+    """sum of w * t over the (t, w) pairs, added left to right."""
+    weights = [np.asarray(w, dtype=np.float64) for _, w in terms]
+    value = terms[0][0].data * weights[0]
+    for (t, _), w in zip(terms[1:], weights[1:]):
+        value = value + t.data * w
+
+    def backward(g):
+        for (t, _), w in zip(terms, weights):
+            t._accum(g * w)
+
+    return terms[0][0]._make(value, tuple(t for t, _ in terms), backward)
 
 
 def _disc_loss(model: ClassFlowModel, real_batch: np.ndarray, fake_batch: np.ndarray) -> Tensor:
     """-mean log D(x) - mean log(1 - D(fake)); generated rows enter as constants."""
-    p_real = model.discriminator(Tensor(real_batch))
-    p_fake = model.discriminator(Tensor(fake_batch))
-    return -(_log_prob(p_real).mean()) - (_log_prob(1.0 - p_fake).mean())
+    return _logistic_loss(model.discriminator(Tensor(real_batch)),
+                          model.discriminator(Tensor(fake_batch)))
 
 
 def _gen_loss(model: ClassFlowModel, z_batch: np.ndarray) -> Tensor:
     """Non-saturating -mean log D(G(z)), differentiable through D into G."""
-    return -(_log_prob(model.discriminator(model.generator(Tensor(z_batch)))).mean())
+    p = model.discriminator(model.generator(Tensor(z_batch)))
+    m, grad = _mean_log_prob(p.data)
+
+    def backward(g):
+        p._accum(grad(-g))
+
+    return p._make(-m, (p,), backward)
 
 
 def loss_forward_gan(model: ClassFlowModel, real_batch: np.ndarray,
@@ -277,11 +346,16 @@ def loss_cycle(model: ClassFlowModel, real_batch: np.ndarray,
     """mean ||x - G(I(x))|| + mean ||z - I(G(z))|| (Euclidean norms)."""
     xt = Tensor(np.asarray(real_batch, dtype=np.float64))
     zt = Tensor(np.asarray(z_batch, dtype=np.float64))
-    dx = xt - model.generator(model.inverse(xt))
-    dz = zt - model.inverse(model.generator(zt))
-    term_x = (dx * dx).sum(axis=1).sqrt().mean()
-    term_z = (dz * dz).sum(axis=1).sqrt().mean()
-    return term_x + term_z
+    x_back = model.generator(model.inverse(xt))
+    z_back = model.inverse(model.generator(zt))
+    term_x, grad_x = _mean_norm(xt.data - x_back.data)
+    term_z, grad_z = _mean_norm(zt.data - z_back.data)
+
+    def backward(g):
+        x_back._accum(-grad_x(g))
+        z_back._accum(-grad_z(g))
+
+    return x_back._make(term_x + term_z, (x_back, z_back), backward)
 
 
 def loss_pred_finetune(model: ClassFlowModel, pos_batch: np.ndarray,
@@ -291,9 +365,8 @@ def loss_pred_finetune(model: ClassFlowModel, pos_batch: np.ndarray,
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     if pos_batch.shape[0] == 0 or neg_batch.shape[0] == 0:
         raise DataError("positive and negative batches must be non-empty")
-    p_pos = model.head(model.inverse(Tensor(pos_batch)))
-    p_neg = model.head(model.inverse(Tensor(neg_batch)))
-    return -(_log_prob(p_pos).mean()) - (_log_prob(1.0 - p_neg).mean())
+    return _logistic_loss(model.head(model.inverse(Tensor(pos_batch))),
+                          model.head(model.inverse(Tensor(neg_batch))))
 
 
 def _zero(*nets: Mlp) -> None:
@@ -383,22 +456,22 @@ def train_class_flow(
             mmd_term = loss_latent_mmd(model, xb, z_ref, kernel)
             z_cyc = sample_latent(rng, batch, d)
             cycle_term = loss_cycle(model, xb, z_cyc)
-            main = mmd_term * config.w_mmd + cycle_term * config.w_cycle
+            terms = [(mmd_term, config.w_mmd), (cycle_term, config.w_cycle)]
             if gan_term is not None:
-                main = main + gan_term * config.w_gan
+                terms.append((gan_term, config.w_gan))
                 sums["gan"] += _check_finite(float(gan_term.data), "generator", epoch, step)
             sums["mmd"] += _check_finite(float(mmd_term.data), "mmd", epoch, step)
             sums["cycle"] += _check_finite(float(cycle_term.data), "cycle", epoch, step)
-            main.backward()
+            _weighted_sum(terms).backward()
             opt_main.step()
             _zero(disc, head)
 
             if use_pred:
-                replace = x_neg.shape[0] < batch
-                picks = rng.choice(x_neg.shape[0], size=batch, replace=replace)
+                with_replacement = x_neg.shape[0] < batch
+                picks = rng.choice(x_neg.shape[0], size=batch, replace=with_replacement)
                 pred_term = loss_pred_finetune(model, xb, x_neg[picks])
                 sums["pred"] += _check_finite(float(pred_term.data), "fine-tune", epoch, step)
-                (pred_term * config.w_pred).backward()
+                _weighted_sum([(pred_term, config.w_pred)]).backward()
                 opt_pred.step()
                 _zero(gen, disc)
 
@@ -416,6 +489,12 @@ def train_class_flow(
 # (features, labels) of the running train_class_flows, set in each pool worker
 # by its initializer; a forked worker inherits the arrays without a copy
 _SHARED: tuple[np.ndarray, np.ndarray] | None = None
+
+# processes training at once, per usable CPU. With every class in its own
+# process the stage ends after about total work / CPUs, not after
+# ceil(classes / CPUs) trainings; the cap bounds the forks and their memory
+# when there are many classes.
+_PROCESSES_PER_CPU = 4
 
 
 def _share(features: np.ndarray, labels: np.ndarray) -> None:
@@ -448,18 +527,23 @@ def train_class_flows(
     """Train one model per class label (OUTLIER rows excluded), in label order.
 
     Class ``c`` trains on its own rows against the other classes' rows, with
-    ``config`` reseeded to ``config.seed + c``. With k = min(usable CPUs,
-    classes), process ``i mod k`` trains the i-th class: this process takes
-    i = 0, k, 2k, ... and k - 1 forked workers the rest, so the models equal
-    those of training the classes in turn. A failure raises like that loop
-    would: the lowest failing class's error, with its type; a worker that
-    dies becomes a ChildProcessError naming its class.
+    ``config`` reseeded to ``config.seed + c``, so the models equal those of
+    training the classes in turn. Each class gets its own process and the OS
+    shares the CPUs among them: this process trains the first class, and a
+    pool of min(classes, cap) - 1 forked workers the others, where the cap is
+    _PROCESSES_PER_CPU times the usable CPUs; classes beyond the cap wait in
+    the pool's queue. With one usable CPU or one class nothing is forked.
+
+    A failure raises like the loop in turn would: the lowest failing class's
+    error, with its type. A dead worker breaks every class not yet finished,
+    and becomes a ChildProcessError naming the lowest of them.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     classes = [int(c) for c in np.unique(labels) if c != OUTLIER]
-    k = min(_usable_cpus(), len(classes))
-    if k <= 1:
+    cpus = _usable_cpus()
+    workers = min(len(classes), _PROCESSES_PER_CPU * cpus) - 1
+    if cpus == 1 or workers < 1:
         return [_fit_class(features, labels, c, arch, config) for c in classes]
 
     # imported here: every CLI stage imports this module, and the pool
@@ -468,36 +552,16 @@ def train_class_flows(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_share, initargs=(features, labels))
     try:
-        futures = {i: pool.submit(_fit_shared, c, arch, config)
-                   for i, c in enumerate(classes) if i % k}
-        results = [None] * len(classes)
-        # this process stops at its first failing class, or before its next
-        # one once a lower class has failed in a worker; of the classes below
-        # the stop, the lowest failure is raised, as the serial order would
-        stop, error = len(classes), None
-        for i in range(0, len(classes), k):
-            if any(j < i and f.done() and f.exception() is not None
-                   for j, f in futures.items()):
-                stop = i
-                break
+        futures = [pool.submit(_fit_shared, c, arch, config) for c in classes[1:]]
+        results = [_fit_class(features, labels, classes[0], arch, config)]
+        for c, future in zip(classes[1:], futures):
             try:
-                results[i] = _fit_class(features, labels, classes[i], arch, config)
-            except Exception as exc:
-                stop, error = i, exc
-                break
-        for i in range(stop):
-            if i not in futures:
-                continue
-            try:
-                results[i] = futures[i].result()
+                results.append(future.result())
             except BrokenProcessPool:
-                raise ChildProcessError(
-                    f"the worker process training class {classes[i]} died") from None
-        if error is not None:
-            raise error
+                raise ChildProcessError(f"the worker process training class {c} died") from None
     finally:
         pool.shutdown(cancel_futures=True)
     return results

@@ -1,14 +1,68 @@
-"""The cross-entropy of the softmax baseline as the chain of Tensor ops that
-``baselines._cross_entropy`` fuses into one node, kept as that node's oracle."""
+"""The losses as chains of Tensor ops, kept as the oracles of the fused loss
+nodes: the softmax baseline's cross-entropy (``baselines._cross_entropy``)
+and the roundtrip training losses (``roundtrip._disc_loss``, ``_gen_loss``,
+``loss_cycle``, ``loss_pred_finetune`` and ``_weighted_sum``). Each takes the
+arguments of the function it stands for, so a test can patch it in."""
 
 from __future__ import annotations
 
 from flowconformal.autodiff import Tensor
+from flowconformal.roundtrip import _PROB_FLOOR
+from tape_oracle import TapeTensor, tape
 
 
 def tape_cross_entropy(logits: Tensor, onehot) -> Tensor:
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
+    logits = tape(logits)
+    shift = TapeTensor(logits.data.max(axis=1, keepdims=True))
     centered = logits - shift
     log_norm = centered.exp().sum(axis=1, keepdims=True).log()
     log_probs = centered - log_norm
-    return -((log_probs * Tensor(onehot)).sum(axis=1).mean())
+    return -((log_probs * TapeTensor(onehot)).sum(axis=1).mean())
+
+
+def _log_prob(p):
+    return p.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR).log()
+
+
+def tape_disc_loss(model, real_batch, fake_batch):
+    p_real = model.discriminator(TapeTensor(real_batch))
+    p_fake = model.discriminator(TapeTensor(fake_batch))
+    return -(_log_prob(p_real).mean()) - (_log_prob(1.0 - p_fake).mean())
+
+
+def tape_gen_loss(model, z_batch):
+    return -(_log_prob(model.discriminator(model.generator(TapeTensor(z_batch)))).mean())
+
+
+def tape_loss_cycle(model, real_batch, z_batch):
+    xt = TapeTensor(real_batch)
+    zt = TapeTensor(z_batch)
+    dx = xt - model.generator(model.inverse(xt))
+    dz = zt - model.inverse(model.generator(zt))
+    term_x = (dx * dx).sum(axis=1).sqrt().mean()
+    term_z = (dz * dz).sum(axis=1).sqrt().mean()
+    return term_x + term_z
+
+
+def tape_loss_pred_finetune(model, pos_batch, neg_batch):
+    p_pos = model.head(model.inverse(TapeTensor(pos_batch)))
+    p_neg = model.head(model.inverse(TapeTensor(neg_batch)))
+    return -(_log_prob(p_pos).mean()) - (_log_prob(1.0 - p_neg).mean())
+
+
+def tape_weighted_sum(terms):
+    (first, w), rest = terms[0], terms[1:]
+    total = tape(first) * w
+    for t, w in rest:
+        total = total + tape(t) * w
+    return total
+
+
+# roundtrip attribute -> its oracle, for patching the training loop
+ROUNDTRIP_ORACLES = {
+    "_disc_loss": tape_disc_loss,
+    "_gen_loss": tape_gen_loss,
+    "loss_cycle": tape_loss_cycle,
+    "loss_pred_finetune": tape_loss_pred_finetune,
+    "_weighted_sum": tape_weighted_sum,
+}

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from flowconformal.autodiff import Tensor
 from flowconformal.baselines import (
     ApsCalibration,
     ClassifierConfig,
@@ -55,6 +54,7 @@ from flowconformal.roundtrip import (
     train_class_flows,
 )
 from flowconformal.special import chi2_cdf
+from tape_oracle import TapeTensor
 
 ALPHA = 0.05
 SEEDS = (0, 1, 2, 3, 4)
@@ -302,7 +302,7 @@ def _loss_case(rng, acts, loss_tag):
     else:
         raise AssertionError(f"no kink-free batch found for {acts}/{loss_tag}")
     if loss_tag == "net-forward":
-        xt = Tensor(x)
+        xt = TapeTensor(x)
         return [net], (lambda: (net(xt) * net(xt)).sum())
     if loss_tag == "gan-disc":
         # generated rows enter the discriminator loss as constants, so only

@@ -1,14 +1,16 @@
-"""Tape engine: recorded-op gradients against central finite differences."""
+"""Tape engine: the backward walk of ``Tensor`` and the per-op oracle ops of
+``tape_oracle.TapeTensor``, against central finite differences."""
 
 import numpy as np
 import pytest
 
 from conftest import FD_STEP, finite_diff_grad, max_grad_error
 from flowconformal.autodiff import Tensor, as_tensor
+from tape_oracle import TapeTensor
 
 
 def test_add_mul_scalar_chain():
-    x = Tensor(np.array(3.0), requires_grad=True)
+    x = TapeTensor(np.array(3.0), requires_grad=True)
     y = (x * 2.0 + 1.0) * x  # f = 2x^2 + x, f' = 4x + 1
     y.backward()
     assert y.data == pytest.approx(21.0)
@@ -17,7 +19,7 @@ def test_add_mul_scalar_chain():
 
 def test_grad_of_linear_map_is_input():
     x = np.array([1.5, -2.0, 0.25])
-    w = Tensor(np.array([0.1, 0.2, 0.3]), requires_grad=True)
+    w = TapeTensor(np.array([0.1, 0.2, 0.3]), requires_grad=True)
     loss = (w * x).sum()
     loss.backward()
     np.testing.assert_allclose(w.grad, x, rtol=0, atol=0)
@@ -26,14 +28,14 @@ def test_grad_of_linear_map_is_input():
 def test_sigmoid_grad_at_zero_is_quarter_x():
     # loss = sigmoid(w.x) with w.x == 0: d/dw = sigma'(0) * x = 0.25 x
     x = np.array([2.0, -1.0])
-    w = Tensor(np.array([0.5, 1.0]), requires_grad=True)  # w.x = 1 - 1 = 0
+    w = TapeTensor(np.array([0.5, 1.0]), requires_grad=True)  # w.x = 1 - 1 = 0
     loss = (w * x).sum().sigmoid()
     loss.backward()
     np.testing.assert_allclose(w.grad, 0.25 * x, rtol=1e-15)
 
 
 def test_backward_requires_scalar():
-    t = Tensor(np.ones((2, 2)), requires_grad=True)
+    t = TapeTensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
         (t * 2.0).backward()
 
@@ -46,15 +48,15 @@ def test_non_finite_data_rejected():
 
 
 def test_gradient_accumulates_across_uses():
-    x = Tensor(np.array(2.0), requires_grad=True)
+    x = TapeTensor(np.array(2.0), requires_grad=True)
     y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
     y.backward()
     assert x.grad == pytest.approx(7.0)
 
 
 def test_broadcast_add_unbroadcasts_grad():
-    a = Tensor(np.ones((3, 2)), requires_grad=True)
-    b = Tensor(np.array([10.0, 20.0]), requires_grad=True)
+    a = TapeTensor(np.ones((3, 2)), requires_grad=True)
+    b = TapeTensor(np.array([10.0, 20.0]), requires_grad=True)
     ((a + b) * 1.0).sum().backward()
     assert a.grad.shape == (3, 2)
     assert b.grad.shape == (2,)
@@ -62,42 +64,42 @@ def test_broadcast_add_unbroadcasts_grad():
 
 
 def test_matmul_shapes_and_grad():
-    a = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    b = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+    a = TapeTensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+    b = TapeTensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
     (a.matmul(b)).sum().backward()
     np.testing.assert_allclose(a.grad, np.ones((2, 4)) @ b.data.T)
     np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 4)))
     with pytest.raises(ValueError, match="inner dimensions"):
-        a.matmul(Tensor(np.ones((2, 2))))
+        a.matmul(TapeTensor(np.ones((2, 2))))
     with pytest.raises(ValueError, match="2-D"):
-        Tensor(np.ones(3)).matmul(Tensor(np.ones((3, 1))))
+        TapeTensor(np.ones(3)).matmul(TapeTensor(np.ones((3, 1))))
 
 
 def test_truediv_by_tensor_rejected():
-    a = Tensor(np.ones(2))
+    a = TapeTensor(np.ones(2))
     with pytest.raises(TypeError):
         a / a
 
 
 def test_mean_and_sum_axis_grads():
-    x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+    x = TapeTensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
     x.sum(axis=1).mean().backward()
     np.testing.assert_allclose(x.grad, np.full((3, 4), 1.0 / 3.0))
 
 
 def test_sqrt_subgradient_zero_at_zero():
-    x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
+    x = TapeTensor(np.array([0.0, 4.0]), requires_grad=True)
     x.sqrt().sum().backward()
     np.testing.assert_allclose(x.grad, [0.0, 0.25])
 
 
 def test_log_requires_positive():
     with pytest.raises(ValueError, match="positive"):
-        Tensor(np.array([1.0, 0.0])).log()
+        TapeTensor(np.array([1.0, 0.0])).log()
 
 
 def test_clip_gradient_mask():
-    x = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
+    x = TapeTensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
     x.clip(0.0, 1.0).sum().backward()
     np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
@@ -107,11 +109,11 @@ def test_clip_gradient_mask():
 def test_pointwise_ops_match_finite_differences(op):
     rng = np.random.default_rng(17)
     base = rng.uniform(0.2, 2.0, size=(3, 2))  # positive domain fits log/sqrt
-    t = Tensor(base, requires_grad=True)
+    t = TapeTensor(base, requires_grad=True)
     getattr(t, op)().sum().backward()
 
     def f(arr):
-        return float(getattr(Tensor(arr), op)().sum().data)
+        return float(getattr(TapeTensor(arr), op)().sum().data)
 
     numeric = finite_diff_grad(f, base.copy())
     assert max_grad_error(t.grad, numeric) < 1e-5
@@ -120,14 +122,14 @@ def test_pointwise_ops_match_finite_differences(op):
 def test_pow_matches_finite_differences():
     rng = np.random.default_rng(3)
     base = rng.uniform(0.5, 2.0, size=(4,))
-    t = Tensor(base, requires_grad=True)
+    t = TapeTensor(base, requires_grad=True)
     (t ** 3).sum().backward()
-    numeric = finite_diff_grad(lambda a: float((Tensor(a) ** 3).sum().data), base.copy())
+    numeric = finite_diff_grad(lambda a: float((TapeTensor(a) ** 3).sum().data), base.copy())
     assert max_grad_error(t.grad, numeric) < 1e-5
 
 
 def test_reshape_transpose_roundtrip_grad():
-    x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+    x = TapeTensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
     (x.T.reshape(6) * np.arange(6.0)).sum().backward()
     assert x.grad.shape == (2, 3)
     expected = np.arange(6.0).reshape(3, 2).T
@@ -139,7 +141,7 @@ def test_composite_expression_matches_finite_differences():
     base = rng.normal(size=(4, 3))
 
     def build(arr):
-        t = Tensor(arr, requires_grad=True)
+        t = TapeTensor(arr, requires_grad=True)
         u = (t.tanh() * 2.0 + t.sigmoid()).relu()
         return t, (u * u).sum(axis=1).sqrt().mean()
 
@@ -154,7 +156,7 @@ def test_determinism_bit_identical():
     base = rng.normal(size=(5, 4))
     outs = []
     for _ in range(2):
-        t = Tensor(base.copy(), requires_grad=True)
+        t = TapeTensor(base.copy(), requires_grad=True)
         ((t.sigmoid() * t.tanh()).sum(axis=0) ** 2).sum().backward()
         outs.append(t.grad.copy())
     assert np.array_equal(outs[0], outs[1])
@@ -162,7 +164,7 @@ def test_determinism_bit_identical():
 
 def test_finiteness_on_wide_range():
     grid = np.linspace(-100.0, 100.0, 41).reshape(-1, 1)
-    t = Tensor(grid, requires_grad=True)
+    t = TapeTensor(grid, requires_grad=True)
     out = t.sigmoid() + t.tanh() + t.relu() * 1e-2 + t.leaky_relu() * 1e-2
     s = out.sum()
     s.backward()
@@ -180,7 +182,7 @@ def test_as_tensor_passthrough_and_wrap():
 
 
 def test_constant_graph_records_nothing():
-    a = Tensor(np.ones(3))
+    a = TapeTensor(np.ones(3))
     out = a * 2.0 + 1.0
     assert not out.requires_grad
     assert out._parents == ()

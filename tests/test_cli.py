@@ -438,8 +438,8 @@ def test_train_writes_models_traces_and_normalizer(pipeline):
 
 
 def test_train_writes_the_same_models_for_any_cpu_count(tmp_path, monkeypatch):
-    # 3 classes: serial, two processes (classes 1 and 3 here, 2 in a worker),
-    # and more CPUs than classes (one class per process)
+    # 3 classes: serial, then one process per class (class 1 here, 2 and 3
+    # in workers) on 2 and on 5 CPUs
     out = tmp_path / "out"
     doc = base_config(out)
     doc["dataset"]["synthetic"].update(means=[[0.0], [6.0], [12.0]],
@@ -483,6 +483,159 @@ def test_train_worker_failure_exits_with_a_message(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err == message + "\n"
     assert not (out / "models" / "class_1.json").exists()
+
+
+def _three_class_doc(out, **extra):
+    doc = base_config(out, **extra)
+    doc["dataset"]["synthetic"].update(means=[[0.0], [6.0], [12.0]],
+                                       outlier={"mean": [24.0], "n": 50})
+    return doc
+
+
+def _run(tmp_path, doc, *stages):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for stage in stages:
+        assert main([stage, "--config", str(path)]) == 0, stage
+
+
+def test_retraining_without_normalization_drops_the_old_normalizer(tmp_path):
+    # the scoring stages apply any normalizer.json they find, so one left by a
+    # normalized run would rescale features the new models never saw
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for out in (reused, fresh):
+        out.mkdir()
+    train = {"epochs": 1, "batch_size": 16, "w_mmd": 8.0, "w_cycle": 0.5}
+    doc = _three_class_doc(reused / "out", seed=1)
+    doc["model"]["train"] = train
+    _run(reused, doc, "run-experiment")
+    assert (reused / "out" / "models" / "normalizer.json").exists()
+    _run(reused, dict(doc, normalize=False), "train", "calibrate", "predict", "evaluate")
+    assert not (reused / "out" / "models" / "normalizer.json").exists()
+    _run(fresh, dict(doc, normalize=False, out_dir=str(fresh / "out")), "run-experiment")
+    reports = sorted(p.name for p in (fresh / "out" / "reports").iterdir())
+    assert reports
+    for name in reports:
+        assert ((reused / "out" / "reports" / name).read_bytes()
+                == (fresh / "out" / "reports" / name).read_bytes()), name
+
+
+def test_retraining_on_fewer_classes_drops_the_old_models(tmp_path):
+    doc = _three_class_doc(tmp_path / "out")
+    doc["model"]["train"]["epochs"] = 1
+    _run(tmp_path, doc, "gen-data", "train")
+    doc["dataset"]["synthetic"].update(means=[[0.0], [6.0]])
+    _run(tmp_path, doc, "gen-data", "train", "calibrate")
+    models = sorted(p.name for p in (tmp_path / "out" / "models").iterdir())
+    assert models == ["class_1.json", "class_2.json", "normalizer.json",
+                      "trace_class_1.json", "trace_class_2.json"]
+
+
+# sha256 of every file run-experiment writes for the three-class config at
+# seed 3, manifest.json without its two timestamps (as perfbench's
+# tree_digest takes them). Training runs BLAS products, so the bytes hold for
+# the numpy and BLAS builds below; elsewhere the test skips.
+GOLDEN_RUN_MACHINE = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
+GOLDEN_RUN_DIGESTS = {
+    "data/calibration.csv":
+        "2bf67c6d03dc5fb92c3565f508c4a08e3b7e5d72e089af34fee85a9f96cc4366",
+    "data/outliers.csv":
+        "76124fb5e8f944c78ef339c4f7299558b7fde12028f05fb7268683051748209d",
+    "data/test_c0.csv":
+        "87fa08923dbbf233c7aa45cf57c2bdb71a209af379ff1b7e76cf9b52698d2869",
+    "data/test_c10.csv":
+        "e70c3c650dfc5c70e1a6bff4461ee7c9995bef5b82cfdb5e48d4916023ea4e7c",
+    "data/train.csv":
+        "7d48ce78bdd8b879166d43777dab01a13c98de14608cba8fa3130bd44b4a1d0a",
+    "manifest.json":
+        "cc45ebd1785e052941cc33437bba47df4a87c989a67090ee9176a61ec25db9f4",
+    "models/class_1.json":
+        "53be2b04fc62416d69c47d1c3568e25c4558af084f715e79b9bae2e0c2b5f244",
+    "models/class_2.json":
+        "2db03a62534003d18b6a6d47c4ead17b1aabd88387cfe4221dd891356efd1498",
+    "models/class_3.json":
+        "d115d24f75c3e73f9e83cee5185ba80d595807405239d8718e9a4bddd9f5a2bb",
+    "models/normalizer.json":
+        "bc1aa4d8ecdf45f0c1a70d02c5ce95a972a3b2de6051ca49686660ea1dba10ea",
+    "models/trace_class_1.json":
+        "982d93a4b5d99ba31f56b45d7c98862f2881b0b0e3d266d1a572f80f30fc6827",
+    "models/trace_class_2.json":
+        "1d89f551fa2aec59586aa0e2a6dc6ffb050ccabb5122ccaebc6d93b8745c3fa4",
+    "models/trace_class_3.json":
+        "f9d9c441b10881116194621628065cbcaec852bd21ea77da5ab3724b9ed06a36",
+    "pools/pools.csv":
+        "e0faa2fd4ff3ff0bbce5d0ab4f595a5097a9fa186d892f932556538a01b59b9c",
+    "predictions/probs_c0.csv":
+        "b4bce82a24bc0476d1c4145c14192021303e0e79578b0c92f3f3e0003a49b6f4",
+    "predictions/probs_c10.csv":
+        "d01542082c0e630811d3e9942871ade4bb8768abc887d68b1ea58050fd3d677e",
+    "predictions/pvalues_c0.csv":
+        "90bf5f05ec5d1b3878c2cb3386d0a5061e10372f293c22f360b1a09ad99e362b",
+    "predictions/pvalues_c10.csv":
+        "6746f79b498c4901af05c3eb18bc5a64a196eea05107ed6976d2b5d237deae95",
+    "predictions/sets_c0.csv":
+        "7e22ba58fbe4cb0ff804201deb99a3c96e75ce7de325d09815d5791409cc5233",
+    "predictions/sets_c10.csv":
+        "248f4e013104d0e5816fe7bc0ab20744db9fb5e9b586f44494ca525625aabcd0",
+    "reports/comparison.csv":
+        "a719b8e58b7ae5746d0f0cf9375170bc26424f80d51e74a0072d5b15c51c0d8f",
+    "reports/hist_c0_class1.csv":
+        "4234b0401c00370e185fc516d724bd9161209fdfae23783f336714c658968c95",
+    "reports/hist_c0_class2.csv":
+        "103e61f959fb7b4be74e751756832d0279b68f005514b9e54cbfe49f6ace40fb",
+    "reports/hist_c0_class3.csv":
+        "16d60c231db9037d7ba180c8e43883638ab4105de0be96059b37fbe0f0c48d49",
+    "reports/hist_c10_class1.csv":
+        "4234b0401c00370e185fc516d724bd9161209fdfae23783f336714c658968c95",
+    "reports/hist_c10_class2.csv":
+        "103e61f959fb7b4be74e751756832d0279b68f005514b9e54cbfe49f6ace40fb",
+    "reports/hist_c10_class3.csv":
+        "16d60c231db9037d7ba180c8e43883638ab4105de0be96059b37fbe0f0c48d49",
+    "reports/report_aps_c0.json":
+        "5a66001d4da7fbd38362f115c6acddd209eb17646a5f2d0a2d0fee8ff1832f1f",
+    "reports/report_aps_c10.json":
+        "92da118fadcd5267d4ff74f8b3dc043232a91ea07d90b9da2a6a4af84be5826c",
+    "reports/report_flow_c0.json":
+        "39f8da61fdddc5f8790d71394aa66554193f8eb2e8afc95909d6b7154921e0fc",
+    "reports/report_flow_c10.json":
+        "400f7ac93e84e7c3c1cea28b8c6657d3664291eb5edfce69f38043dcbcbec557",
+    "reports/report_scaling_c0.json":
+        "5a66001d4da7fbd38362f115c6acddd209eb17646a5f2d0a2d0fee8ff1832f1f",
+    "reports/report_scaling_c10.json":
+        "e6b0a1375b75efa615cec868789cf2a4a56a95bc7bda012ead0de86c45f8897e",
+}
+
+
+def _run_machine():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version")}
+
+
+def _tree_digest(out_dir):
+    digests = {}
+    for path in sorted(out_dir.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        rel = path.relative_to(out_dir).as_posix()
+        if rel == "manifest.json":
+            doc = json.loads(data)
+            doc.pop("created", None)
+            doc.pop("updated", None)
+            data = json.dumps(doc, sort_keys=True).encode()
+        digests[rel] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_run_experiment_matches_the_golden_digests(tmp_path, monkeypatch):
+    machine = _run_machine()
+    if machine != GOLDEN_RUN_MACHINE:
+        pytest.skip(f"digests recorded on {GOLDEN_RUN_MACHINE}, this is {machine}")
+    # a relative out_dir keeps the manifest's config hash free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    _run(tmp_path, _three_class_doc("out"), "run-experiment")
+    assert _tree_digest(tmp_path / "out") == GOLDEN_RUN_DIGESTS
 
 
 def test_calibrate_pool_sizes_match_training_rows(pipeline):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, finite_diff_grad, max_grad_error
-from flowconformal.autodiff import Tensor
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
@@ -18,6 +17,7 @@ from flowconformal.kernels import (
     mmd2_unbiased_graph,
     resolve_bandwidth,
 )
+from tape_oracle import TapeTensor
 
 
 def brute_force_mmd2(u, v, bw):
@@ -58,7 +58,7 @@ def fused_and_tape(u, v, bw):
     out = []
     for fn in (lambda a, b: mmd2_unbiased_graph(a, b, KernelSpec(bandwidth=bw)),
                lambda a, b: tape_mmd2(a, b, bw)):
-        ut, vt = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+        ut, vt = TapeTensor(u, requires_grad=True), TapeTensor(v, requires_grad=True)
         node = fn(ut, vt)
         node.backward()
         out.append((float(node.data), ut.grad, vt.grad))
@@ -242,7 +242,7 @@ def test_mmd_gradient_matches_finite_differences():
     u = rng.normal(size=(6, 2))
     v = rng.normal(size=(7, 2)) + 1.0
     spec = KernelSpec(bandwidth=1.4)
-    ut = Tensor(u, requires_grad=True)
+    ut = TapeTensor(u, requires_grad=True)
     mmd2_unbiased_graph(ut, v, spec).backward()
     numeric = np.zeros_like(u)
     for i in range(u.shape[0]):
@@ -260,7 +260,7 @@ def test_numeric_wrapper_equals_graph_path():
     u = rng.normal(size=(5, 3))
     v = rng.normal(size=(8, 3))
     spec = KernelSpec(bandwidth=0.9)
-    graph_val = float(mmd2_unbiased_graph(Tensor(u), Tensor(v), spec).data)
+    graph_val = float(mmd2_unbiased_graph(TapeTensor(u), TapeTensor(v), spec).data)
     assert mmd2_unbiased(u, v, spec).value == graph_val
 
 
@@ -289,7 +289,7 @@ def test_fused_node_gradients_match_finite_differences_in_both_operands():
     u = rng.normal(size=(5, 3))
     v = rng.normal(size=(7, 3)) + 0.5
     spec = KernelSpec(bandwidth=1.2)
-    ut, vt = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+    ut, vt = TapeTensor(u, requires_grad=True), TapeTensor(v, requires_grad=True)
     mmd2_unbiased_graph(ut, vt, spec).backward()
     num_u = finite_diff_grad(lambda a: mmd2_unbiased(a, v, spec).value, u.copy())
     num_v = finite_diff_grad(lambda b: mmd2_unbiased(u, b, spec).value, v.copy())
@@ -301,10 +301,10 @@ def test_fused_node_gradient_when_both_operands_are_one_tensor():
     rng = np.random.default_rng(24)
     u = rng.normal(size=(6, 2))
     spec = KernelSpec(bandwidth=0.8)
-    ut = Tensor(u, requires_grad=True)
+    ut = TapeTensor(u, requires_grad=True)
     mmd2_unbiased_graph(ut, ut, spec).backward()
     # d/du of f(u, u) sums both operand slots
-    at = Tensor(u, requires_grad=True)
+    at = TapeTensor(u, requires_grad=True)
     tape_mmd2(at, at, 0.8).backward()
     assert np.max(np.abs(ut.grad - at.grad)) <= 1e-14
 
@@ -315,8 +315,8 @@ def test_fused_node_swap_gives_bit_identical_gradients():
     for m, n in [(6, 9), (9, 6), (8, 8)]:
         u = rng.normal(size=(m, 2))
         v = rng.normal(size=(n, 2))
-        u1, v1 = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
-        u2, v2 = Tensor(u, requires_grad=True), Tensor(v, requires_grad=True)
+        u1, v1 = TapeTensor(u, requires_grad=True), TapeTensor(v, requires_grad=True)
+        u2, v2 = TapeTensor(u, requires_grad=True), TapeTensor(v, requires_grad=True)
         mmd2_unbiased_graph(u1, v1, spec).backward()
         mmd2_unbiased_graph(v2, u2, spec).backward()
         assert np.array_equal(u1.grad, u2.grad)
@@ -339,7 +339,7 @@ def test_fused_node_coincident_rows_stay_finite():
     dup = np.array([[0.1, 0.7]] * 4 + [[3.3, 1e3]])
     other = np.array([[0.1, 0.7]] * 3 + [[3.3, 1e3]])
     spec = KernelSpec(bandwidth=0.5)
-    ut, vt = Tensor(dup, requires_grad=True), Tensor(other, requires_grad=True)
+    ut, vt = TapeTensor(dup, requires_grad=True), TapeTensor(other, requires_grad=True)
     node = mmd2_unbiased_graph(ut, vt, spec)
     node.backward()
     assert np.isfinite(node.data)
@@ -354,7 +354,7 @@ def test_fused_node_coincident_rows_stay_finite():
             rows = np.vstack([duplicated_rows(rng, 3, scale)] * 2)
             sq = _sq_dists(rows, rows[::-1])
             assert np.all(sq >= 0.0) and np.all(np.isfinite(sq))
-            ut = Tensor(rows, requires_grad=True)
+            ut = TapeTensor(rows, requires_grad=True)
             node = mmd2_unbiased_graph(ut, rows[::-1].copy(), KernelSpec(bandwidth=0.1))
             node.backward()
             assert np.isfinite(node.data) and np.all(np.isfinite(ut.grad))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import check_mlp_gradients
-from flowconformal.autodiff import Tensor
 from flowconformal.nn import (
     ACTIVATIONS,
     Adam,
@@ -21,6 +20,7 @@ from flowconformal.nn import (
     params_to_json,
     to_json,
 )
+from tape_oracle import TapeTensor, tape
 
 
 def test_identity_layer_passes_through():
@@ -92,7 +92,7 @@ def test_init_bounds_follow_fan_in_fan_out():
 def test_adam_first_step_hand_example():
     # g=1, lr=0.01: bias correction gives m_hat = v_hat = 1, so the update is
     # -lr * 1/(1 + eps) which is -0.01 to within eps
-    p = Tensor(np.array(0.5), requires_grad=True)
+    p = TapeTensor(np.array(0.5), requires_grad=True)
     p.grad = np.array(1.0)
     opt = Adam([p], lr=0.01)
     opt.step()
@@ -102,7 +102,7 @@ def test_adam_first_step_hand_example():
 
 
 def test_adam_zero_grad_leaves_params():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p = TapeTensor(np.array([1.0, 2.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
     opt.step()  # grad None counts as zero
     np.testing.assert_array_equal(p.data, [1.0, 2.0])
@@ -110,7 +110,7 @@ def test_adam_zero_grad_leaves_params():
 
 
 def test_adam_opposite_grads_symmetric_updates():
-    p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+    p = TapeTensor(np.array([0.0, 0.0]), requires_grad=True)
     p.grad = np.array([1.0, -1.0])
     opt = Adam([p], lr=0.05)
     opt.step()
@@ -119,7 +119,7 @@ def test_adam_opposite_grads_symmetric_updates():
 
 
 def test_adam_rejects_bad_hyperparams_and_nan_grad():
-    p = Tensor(np.array(0.0), requires_grad=True)
+    p = TapeTensor(np.array(0.0), requires_grad=True)
     with pytest.raises(ValueError, match="learning rate"):
         Adam([p], lr=0.0)
     with pytest.raises(ValueError, match="betas"):
@@ -137,7 +137,7 @@ def test_adam_determinism():
         opt = Adam(net.parameters(), lr=1e-2)
         x = rng.normal(size=(8, 3))
         for _ in range(25):
-            loss = (net(Tensor(x)) ** 2).mean()
+            loss = (net(TapeTensor(x)) ** 2).mean()
             loss.backward()
             opt.step()
         return [p.data.copy() for p in net.parameters()]
@@ -152,7 +152,7 @@ def test_mlp_gradcheck_each_activation():
     x = rng.normal(size=(3, 2))
     for act in ACTIVATIONS:
         net = Mlp(MlpSpec((2, 4, 2), (act,), "identity"), rng=rng)
-        check_mlp_gradients(net, lambda net=net: (net(Tensor(x)) ** 2).mean())
+        check_mlp_gradients(net, lambda net=net: (net(TapeTensor(x)) ** 2).mean())
 
 
 def test_json_roundtrip_exact():
@@ -180,17 +180,17 @@ def test_mlp_dict_version_guard():
 
 def _tape_forward(net, x):
     """Mlp.forward as one tape node per matmul, bias add and activation: the oracle."""
-    h = x
+    h = tape(x)
     tags = net.spec.activations + (net.spec.final_activation,)
     for (w, b), tag in zip(net.layers, tags):
-        h = h.matmul(w) + b.reshape(1, -1)
+        h = h.matmul(w) + tape(b).reshape(1, -1)
         if tag != "identity":
             h = getattr(h, tag.replace("-", "_"))()
     return h
 
 
 def _tape_predict(net, x):
-    return _tape_forward(net, Tensor(np.asarray(x, dtype=np.float64))).data
+    return _tape_forward(net, TapeTensor(np.asarray(x, dtype=np.float64))).data
 
 
 class _OracleAdam:
@@ -249,7 +249,7 @@ def test_fused_forward_equals_tape_oracle(act, input_grad):
     net = Mlp(MlpSpec((3, 6, 5, 4), (act, act), act), rng=rng)
     for _, b in net.layers:  # non-zero biases, so the bias path is exercised
         b.data = rng.normal(size=b.data.shape)
-    x = Tensor(rng.normal(size=(7, 3)), requires_grad=input_grad)
+    x = TapeTensor(rng.normal(size=(7, 3)), requires_grad=input_grad)
     weight = rng.normal(size=(7, 4))
     tensors = net.parameters() + [x]
 
@@ -273,8 +273,8 @@ def test_fused_forward_matches_oracle_with_networks_reused_in_one_graph():
     rng = np.random.default_rng(8)
     gen = Mlp(MlpSpec((2, 8, 8, 3), ("relu", "relu"), "identity"), rng=rng)
     inv = Mlp(MlpSpec((3, 8, 8, 2), ("relu", "relu"), "identity"), rng=rng)
-    xt = Tensor(rng.normal(size=(16, 3)))
-    zt = Tensor(rng.normal(size=(16, 2)))
+    xt = TapeTensor(rng.normal(size=(16, 3)))
+    zt = TapeTensor(rng.normal(size=(16, 2)))
     tensors = gen.parameters() + inv.parameters()
 
     def loss(forward):
@@ -297,7 +297,7 @@ def test_fused_forward_matches_oracle_with_networks_reused_in_one_graph():
 def test_fused_node_is_one_tape_node():
     rng = np.random.default_rng(2)
     net = Mlp(MlpSpec((2, 4, 4, 1), ("tanh", "tanh"), "sigmoid"), rng=rng)
-    x = Tensor(rng.normal(size=(3, 2)))
+    x = TapeTensor(rng.normal(size=(3, 2)))
     out = net(x)
     assert out._parents == (x, *net.parameters())
     assert all(p._parents == () for p in out._parents)
@@ -305,7 +305,7 @@ def test_fused_node_is_one_tape_node():
 
 def _adam_params(rng):
     # two "networks" sharing the middle pair, as opt_main and opt_pred share the inverse map
-    return [Tensor(rng.normal(size=shape), requires_grad=True)
+    return [TapeTensor(rng.normal(size=shape), requires_grad=True)
             for shape in ((3, 4), (4,), (4, 2), (2,), ())]
 
 

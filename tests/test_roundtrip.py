@@ -9,11 +9,13 @@ discrepancy).
 
 import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor, wait
+import time
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowconformal import roundtrip
 from flowconformal.errors import ConfigError, DataError
@@ -41,6 +43,14 @@ from flowconformal.roundtrip import (
     save_class_flow,
     train_class_flow,
     train_class_flows,
+)
+from loss_oracle import (
+    ROUNDTRIP_ORACLES,
+    tape_disc_loss,
+    tape_gen_loss,
+    tape_loss_cycle,
+    tape_loss_pred_finetune,
+    tape_weighted_sum,
 )
 
 LOG2 = float(np.log(2.0))
@@ -342,6 +352,84 @@ def test_loop_discriminator_loss_is_loss_forward_gan(monkeypatch):
     assert seen[0] == float(d_loss.data)
 
 
+# -- fused loss nodes against their Tensor-op oracles ------------------------------
+
+def _loss_bytes(make, params):
+    """(value bytes, gradient bytes per parameter) of one loss, grads then cleared."""
+    loss = make()
+    loss.backward()
+    grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+    for p in params:
+        p.grad = None
+    return np.asarray(loss.data).tobytes(), grads
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 3), n=st.integers(2, 12),
+       sharp=st.booleans(), weights=st.tuples(*[st.floats(0.0, 10.0)] * 3))
+def test_fused_losses_match_the_tape_graph(seed, p, n, sharp, weights):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, p + 1))
+    model = build_class_flow(FlowArchitecture(p, d, (6, 5), (7,), (5, 4)), 1, rng)
+    if sharp:  # probabilities saturate, so the clip masks some rows
+        for net in (model.discriminator, model.head):
+            for w, _ in net.layers:
+                w.data = w.data * 40.0
+    x, neg, fake = (rng.normal(size=(n, p)) * 2.0 for _ in range(3))
+    z, z_ref = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    kernel = KernelSpec(bandwidth=1.3)
+    params = [t for net in (model.generator, model.inverse, model.discriminator, model.head)
+              for t in net.parameters()]
+
+    def main_step(mmd, cycle, gen, weighted):
+        # the main objective, whose terms call G and I three times each
+        return lambda: weighted([(mmd(model, x, z_ref, kernel), weights[0]),
+                                 (cycle(model, x, z), weights[1]),
+                                 (gen(model, z), weights[2])])
+
+    pairs = [
+        (lambda: roundtrip._disc_loss(model, x, fake), lambda: tape_disc_loss(model, x, fake)),
+        (lambda: roundtrip._gen_loss(model, z), lambda: tape_gen_loss(model, z)),
+        (lambda: loss_cycle(model, x, z), lambda: tape_loss_cycle(model, x, z)),
+        (lambda: loss_pred_finetune(model, x, neg),
+         lambda: tape_loss_pred_finetune(model, x, neg)),
+        (main_step(loss_latent_mmd, loss_cycle, roundtrip._gen_loss, roundtrip._weighted_sum),
+         main_step(loss_latent_mmd, tape_loss_cycle, tape_gen_loss, tape_weighted_sum)),
+    ]
+    for fused, oracle in pairs:
+        assert _loss_bytes(fused, params) == _loss_bytes(oracle, params)
+
+
+def test_fused_cycle_loss_matches_the_tape_graph_at_exact_roundtrips():
+    # zero residual norms take the subgradient branch of the sqrt
+    model = fixed_model(Mlp.identity(2), Mlp.identity(2))
+    x = np.random.default_rng(3).normal(size=(5, 2))
+    z = x[:4] * 0.5
+    params = model.generator.parameters() + model.inverse.parameters()
+    fused = _loss_bytes(lambda: loss_cycle(model, x, z), params)
+    assert fused == _loss_bytes(lambda: tape_loss_cycle(model, x, z), params)
+    assert np.frombuffer(fused[0]) == 0.0
+
+
+@pytest.mark.parametrize("overrides", [{}, {"w_gan": 0.0}, {"w_pred": 0.0},
+                                       {"disc_steps": 2, "w_mmd": 3.0, "w_cycle": 0.5}])
+def test_training_with_the_tape_losses_saves_the_same_bytes(tmp_path, monkeypatch, overrides):
+    rng = np.random.default_rng(11)
+    x, neg = rng.normal(size=(64, 2)), rng.normal(size=(40, 2)) + 3.0
+    arch = FlowArchitecture(2, 2, (8, 8), (8,), (8, 8))
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=7, **overrides)
+
+    def run(name):
+        model, trace = train_class_flow(x, neg, 1, arch, cfg)
+        save_class_flow(model, str(tmp_path / name))
+        return (tmp_path / name).read_bytes(), trace.to_dict()
+
+    fused = run("fused.json")
+    for name, oracle in ROUNDTRIP_ORACLES.items():
+        monkeypatch.setattr(roundtrip, name, oracle)
+    assert run("tape.json") == fused
+
+
 # -- every class of a labelled matrix ----------------------------------------------
 
 def _fake_fit(own, other, label, arch, config):
@@ -374,35 +462,79 @@ def pools_made(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("cpus, n_classes", [(1, 4), (4, 1), (2, 5), (3, 5), (8, 3)])
-def test_class_i_trains_in_process_i_mod_k(monkeypatch, pools_made, cpus, n_classes):
+def _expected_workers(cpus, n_classes):
+    """min(classes, cap) - 1 forked workers, cap = 4 per CPU; none on 1 CPU or for 1 class."""
+    if cpus == 1 or n_classes == 1:
+        return []
+    return [min(n_classes, 4 * cpus) - 1]
+
+
+def _check_fits(out, n_classes, seed):
+    n_rows = sum(c + 1 for c in range(1, n_classes + 1))
+    assert [r[0] for r in out] == list(range(1, n_classes + 1))
+    assert [r[2] for r in out] == [seed + c for c in range(1, n_classes + 1)]
+    assert [(r[3], r[4]) for r in out] == [(c + 1, n_rows - c - 1)
+                                           for c in range(1, n_classes + 1)]
+
+
+@pytest.mark.parametrize("cpus, n_classes", [(1, 4), (4, 1), (2, 5), (3, 5), (8, 3), (2, 10)])
+def test_the_stage_process_trains_exactly_the_first_class(monkeypatch, pools_made, cpus,
+                                                          n_classes):
     monkeypatch.setattr(roundtrip, "train_class_flow", _fake_fit)
     monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: cpus)
     x, labels = _labelled(n_classes)
     out = train_class_flows(x, labels, TINY_ARCH, TrainConfig(seed=10))
-    n_rows = labels.size - 2
-    assert [r[0] for r in out] == list(range(1, n_classes + 1))
-    assert [r[2] for r in out] == [10 + c for c in range(1, n_classes + 1)]
-    assert [(r[3], r[4]) for r in out] == [(c + 1, n_rows - c - 1)
-                                           for c in range(1, n_classes + 1)]
-    k = min(cpus, n_classes)
+    _check_fits(out, n_classes, 10)
     pids = [r[1] for r in out]
-    if k == 1:
-        assert pools_made.workers == [] and set(pids) == {os.getpid()}
+    assert pools_made.workers == _expected_workers(cpus, n_classes)
+    if not pools_made.workers:
+        assert set(pids) == {os.getpid()}
         return
-    assert pools_made.workers == [k - 1]
-    for i, pid in enumerate(pids):
-        assert (pid == os.getpid()) == (i % k == 0)
-    assert len(set(pids)) <= k
+    assert pids[0] == os.getpid()
+    assert os.getpid() not in pids[1:]
+    assert len(set(pids[1:])) <= pools_made.workers[0]
+    assert len(pools_made.futures) == n_classes - 1
 
 
-def _failing_fit(fail):
-    """_fake_fit, except that class c raises fail[c]() (or exits) in the given process."""
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("n_classes", [1, 3, 9, 300])
+def test_the_worker_count_never_exceeds_the_cap(monkeypatch, cpus, n_classes):
+    # an in-process stand-in for the pool, so that 255 workers cost no forks
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(roundtrip, "_SHARED", None)
+    monkeypatch.setattr(roundtrip, "train_class_flow", _fake_fit)
+    monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: cpus)
+    x, labels = _labelled(n_classes)
+    _check_fits(train_class_flows(x, labels, TINY_ARCH, TrainConfig(seed=3)), n_classes, 3)
+    assert made == _expected_workers(cpus, n_classes)
+    assert all(w <= 4 * cpus - 1 for w in made)
+
+
+def _failing_fit(fail, delay=0.0):
+    """_fake_fit, except that class c raises fail[c]() (or exits) in the given
+    process; classes trained in a worker first sleep ``delay`` seconds."""
     parent = os.getpid()
 
     def fit(own, other, label, arch, config):
         where, make = fail.get(label, (None, None))
         in_worker = os.getpid() != parent
+        if in_worker:
+            time.sleep(delay)
         if where == "worker" and in_worker or where == "parent" and not in_worker:
             if make is None:
                 os._exit(1)
@@ -414,9 +546,9 @@ def _failing_fit(fail):
 
 @pytest.mark.parametrize("fail, raised, message", [
     ({2: ("worker", FloatingPointError)}, FloatingPointError, "class 2 failed"),
-    ({3: ("parent", ConfigError)}, ConfigError, "class 3 failed"),
+    ({3: ("worker", ConfigError)}, ConfigError, "class 3 failed"),
     # the lowest failing class wins, whichever process trained it
-    ({2: ("worker", FloatingPointError), 3: ("parent", ConfigError)},
+    ({2: ("worker", FloatingPointError), 3: ("worker", ConfigError)},
      FloatingPointError, "class 2 failed"),
     ({1: ("parent", DataError), 2: ("worker", FloatingPointError)},
      DataError, "class 1 failed"),
@@ -429,28 +561,23 @@ def test_class_failures_raise_the_lowest_label_with_its_type(monkeypatch, pools_
     x, labels = _labelled(3)
     with pytest.raises(raised, match=message):
         train_class_flows(x, labels, TINY_ARCH, TrainConfig())
-    assert pools_made.workers == [1]
+    assert pools_made.workers == [2]
 
 
-def test_a_worker_failure_stops_this_process_before_its_next_class(monkeypatch, pools_made):
-    # 5 classes on 2 CPUs: this process trains 1, 3, 5 and the worker 2, 4.
-    # Class 1 returns only once class 2 has failed, so class 3 must not start.
-    trained = []
-    fit = _failing_fit({2: ("worker", FloatingPointError)})
-
-    def fit_here(own, other, label, arch, config):
-        trained.append(label)
-        if label == 1:
-            done, _ = wait(pools_made.futures[:1], timeout=60)
-            assert done
-        return fit(own, other, label, arch, config)
-
-    monkeypatch.setattr(roundtrip, "train_class_flow", fit_here)
+def test_a_failure_cancels_the_queued_classes(monkeypatch, pools_made):
+    # a cap of 2 processes on 2 CPUs: one worker takes classes 2-5 in turn,
+    # 0.5 s each, and class 1 fails here at once; the classes still queued
+    # behind the worker's must never start
+    monkeypatch.setattr(roundtrip, "_PROCESSES_PER_CPU", 1)
+    monkeypatch.setattr(roundtrip, "train_class_flow",
+                        _failing_fit({1: ("parent", ConfigError)}, delay=0.5))
     monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: 2)
     x, labels = _labelled(5)
-    with pytest.raises(FloatingPointError, match="class 2 failed"):
+    with pytest.raises(ConfigError, match="class 1 failed"):
         train_class_flows(x, labels, TINY_ARCH, TrainConfig())
-    assert trained == [1]
+    assert pools_made.workers == [1]
+    assert pools_made.futures[-1].cancelled()
+    assert all(f.done() for f in pools_made.futures)
 
 
 def test_negative_pool_smaller_than_batch_is_resampled():
