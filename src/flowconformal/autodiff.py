@@ -23,23 +23,24 @@ _LEAKY_SLOPE = 0.2
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so exp never overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function from e = exp(-|x|), so exp never overflows:
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # Activation tag -> (forward f(x), backward (g, x, y) -> g * f'(x) with y = f(x)).
-# The fused MLP node and the tests' per-op oracle both use this one table, so
-# a tag means the same arithmetic, rounding included, wherever it is applied.
+# Each entry is a cheaper numpy form of the plain formula kept as the oracle in
+# tests/tape_oracle.py, and gives every element by the same float operations,
+# rounding and signed zeros included: max(x, 0.2x) picks x or 0.2x exactly
+# where where(x > 0, x, 0.2x) does, and the relu mask multiplies g by 1.0 or
+# 0.0 as g * (x > 0) does, casting the mask before the product rather than
+# inside it, which numpy does faster.
 ACTIVATION_TABLE = {
     "relu": (lambda x: np.maximum(x, 0.0),
-             lambda g, x, y: g * (x > 0)),
-    "leaky-relu": (lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
-                   lambda g, x, y: g * np.where(x > 0, 1.0, _LEAKY_SLOPE)),
+             lambda g, x, y: g * (x > 0).astype(np.float64)),
+    "leaky-relu": (lambda x: np.maximum(x, _LEAKY_SLOPE * x),
+                   lambda g, x, y: np.where(x > 0, g, g * _LEAKY_SLOPE)),
     "tanh": (np.tanh,
              lambda g, x, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid,
@@ -61,7 +62,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor data must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None

@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from ._table import FLOAT, read_table, write_table
+from .datasets import sorted_labels
 from .errors import ConfigError, DataError
 from .nn import Adam, Mlp, MlpSpec, hidden_widths
 
@@ -85,7 +86,7 @@ def train_softmax_classifier(
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise DataError("features and labels must be non-empty and aligned")
-    class_labels = tuple(int(v) for v in np.unique(y))
+    class_labels = tuple(int(v) for v in sorted_labels(y))
     if len(class_labels) < 2:
         raise DataError(f"need at least 2 classes, got {class_labels}")
     col = {label: j for j, label in enumerate(class_labels)}

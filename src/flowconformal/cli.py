@@ -329,8 +329,14 @@ class RunManifest:
                    updated=doc.get("updated", ""), artifacts=doc.get("artifacts", {}))
 
     def record(self, stage: str, paths: list[str], out_dir: str) -> None:
-        rel = [os.path.relpath(p, out_dir) for p in paths]
-        self.artifacts[stage] = sorted(set(self.artifacts.get(stage, [])) | set(rel))
+        """Add a stage's artifacts to those recorded before, then drop every
+        recorded path that no longer exists (say, a model of a class that a
+        later ``train`` no longer has)."""
+        rel = {os.path.relpath(p, out_dir) for p in paths}
+        self.artifacts[stage] = sorted(set(self.artifacts.get(stage, [])) | rel)
+        for name, listed in self.artifacts.items():
+            self.artifacts[name] = [p for p in listed
+                                    if os.path.exists(os.path.join(out_dir, p))]
 
     def save(self, path: str) -> None:
         self.updated = time.strftime("%Y-%m-%dT%H:%M:%S")

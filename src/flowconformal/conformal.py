@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import FLOAT, read_table, write_table
+from .datasets import sorted_labels
 from .errors import ConfigError, DataError
 from .roundtrip import ClassFlowModel, encode
 
@@ -160,7 +161,7 @@ def load_pools(path: str) -> list[ScorePool]:
     _, (classes, scores) = read_table(path, ("class", "score"), (int, float))
     if not classes.size:
         raise DataError(f"{path}: no score rows")
-    return [ScorePool(int(label), scores[classes == label]) for label in np.unique(classes)]
+    return [ScorePool(int(label), scores[classes == label]) for label in sorted_labels(classes)]
 
 
 def save_p_values(path: str, labels, matrix: np.ndarray) -> None:

@@ -34,9 +34,23 @@ __all__ = [
     "fit_normalizer",
     "save_dataset_csv",
     "load_dataset_csv",
+    "sorted_labels",
 ]
 
 OUTLIER = 0
+
+
+def sorted_labels(values) -> np.ndarray:
+    """The distinct values of a label array, ascending, as ``np.unique`` gives
+    them. A plain ``np.unique(values)`` asks numpy.ma whether its input is
+    masked, and importing numpy.ma adds ~10 ms to a stage that never needs
+    it; one sort and a comparison of neighbours are also faster."""
+    s = np.sort(np.asarray(values).ravel())
+    first = np.empty(s.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
 
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
@@ -80,7 +94,7 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def class_labels(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unique(self.labels) if v != OUTLIER)
+        return tuple(int(v) for v in sorted_labels(self.labels) if v != OUTLIER)
 
     def rows_for(self, label: int) -> np.ndarray:
         return self.features[self.labels == label]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import FLOAT, write_table
-from .datasets import OUTLIER
+from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
 from .nn import to_json
 from .special import chi2_cdf
@@ -191,7 +191,7 @@ def build_report(sets, labels, alpha: float,
     sets, labels = _check_aligned(sets, labels)
     inlier = labels != OUTLIER
     if class_labels is None:
-        class_labels = tuple(int(v) for v in np.unique(labels[inlier]))
+        class_labels = tuple(int(v) for v in sorted_labels(labels[inlier]))
     else:
         class_labels = tuple(int(v) for v in class_labels)
     report = EvalReport(

@@ -14,8 +14,8 @@ layers in reverse: activation derivative, ``W += h^T g``, ``b += sum(g)``,
 ``g <- g W^T``, and skips the last product when the input is a constant.
 Every element goes through the same numpy operations, in the same order, as
 the per-layer graph would, so values and gradients are bit-identical to it.
-``Adam`` keeps its moments in one flat vector and updates them in one pass
-over the concatenated gradients.
+``Adam`` keeps its moments in one flat vector and updates them in place, in
+one pass over the concatenated gradients.
 """
 
 from __future__ import annotations
@@ -146,7 +146,8 @@ class Mlp:
         saved = []  # (W, b, activation backward, layer input, pre-activation, output)
         h = x.data
         for w, b, (act, act_grad) in self._layer_acts():
-            z = h @ w.data + b.data
+            z = h @ w.data
+            z += b.data
             y = act(z)
             saved.append((w, b, act_grad, h, z, y))
             h = y
@@ -170,10 +171,14 @@ class Mlp:
         """Forward pass on raw arrays, no graph recorded."""
         h = np.asarray(x, dtype=np.float64)
         self._check_input(h)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("tensor data must be finite")
+        # one name for every layer's arrays, so each is freed as soon as the
+        # next exists: at most two (rows, width) arrays are alive at a time
         for w, b, (act, _) in self._layer_acts():
-            h = act(h @ w.data + b.data)
+            h = h @ w.data
+            h += b.data
+            h = act(h)
         return h
 
     def parameters(self) -> list[Tensor]:
@@ -214,24 +219,41 @@ class Adam:
         self._grad = np.empty(size)
         self._m = np.zeros(size)
         self._v = np.zeros(size)
+        self._update = np.empty(size)
+        self._scratch = np.empty(size)
+        # parameter i's slice of the update, in the parameter's shape
+        self._updates = [self._update[sl].reshape(p.data.shape)
+                         for p, sl in zip(self.params, self._slices)]
 
     def step(self) -> None:
         g = self._grad
         for p, sl in zip(self.params, self._slices):
             g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient in Adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        self._m = b1 * self._m + (1.0 - b1) * g
-        self._v = b2 * self._v + (1.0 - b2) * (g * g)
-        m_hat = self._m / c1
-        v_hat = self._v / c2
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        for p, sl in zip(self.params, self._slices):
-            p.data = p.data - update[sl].reshape(p.data.shape)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        # update = lr (m / c1) / (sqrt(v / c2) + eps),
+        # in place, each product, sum and quotient rounded as written
+        m, v, update, tmp = self._m, self._v, self._update, self._scratch
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, c1, out=update)
+        update *= self.lr
+        update /= tmp
+        for p, delta in zip(self.params, self._updates):
+            p.data = p.data - delta
             p.grad = None
 
 

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .datasets import OUTLIER
+from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, MEDIAN_HEURISTIC, mmd2_unbiased_graph, resolve_bandwidth
 from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict, to_json
@@ -251,11 +251,11 @@ def generate(model: ClassFlowModel, z: np.ndarray) -> np.ndarray:
 def _mean_log_prob(p: np.ndarray):
     """(mean log clip(p), g -> d/dp of g * mean log clip(p))."""
     clipped = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    keep = (p >= _PROB_FLOOR) & (p <= 1.0 - _PROB_FLOOR)
+    keep = clipped == p  # p inside the clip bounds
     scale = np.asarray(1.0 / p.size)
 
     def grad(g):
-        return np.broadcast_to(g * scale, p.shape).astype(np.float64) / clipped * keep
+        return (g * scale) / clipped * keep
 
     return np.log(clipped).sum() * scale, grad
 
@@ -266,12 +266,13 @@ def _mean_norm(diff: np.ndarray):
     scale = np.asarray(1.0 / norms.size)
 
     def grad(g):
-        g_norms = np.broadcast_to(g * scale, norms.shape).astype(np.float64)
         # subgradient 0 at a zero norm keeps the loss finite on perfect roundtrips
         denom = 2.0 * norms
-        g_sq = np.where(denom > 0, g_norms / np.where(denom > 0, denom, 1.0), 0.0)
-        g_sq = np.broadcast_to(np.expand_dims(g_sq, 1), diff.shape).astype(np.float64)
-        return g_sq * diff + g_sq * diff
+        pos = denom > 0
+        g_sq = np.where(pos, (g * scale) / np.where(pos, denom, 1.0), 0.0)
+        # the square's two product-rule terms, added as the tape graph adds them
+        half = g_sq[:, None] * diff
+        return half + half
 
     return norms.sum() * scale, grad
 
@@ -536,11 +537,12 @@ def train_class_flows(
 
     A failure raises like the loop in turn would: the lowest failing class's
     error, with its type. A dead worker breaks every class not yet finished,
-    and becomes a ChildProcessError naming the lowest of them.
+    and becomes a ChildProcessError naming all of them, since the pool does
+    not say whose process died.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    classes = [int(c) for c in np.unique(labels) if c != OUTLIER]
+    classes = [int(c) for c in sorted_labels(labels) if c != OUTLIER]
     cpus = _usable_cpus()
     workers = min(len(classes), _PROCESSES_PER_CPU * cpus) - 1
     if cpus == 1 or workers < 1:
@@ -557,11 +559,18 @@ def train_class_flows(
     try:
         futures = [pool.submit(_fit_shared, c, arch, config) for c in classes[1:]]
         results = [_fit_class(features, labels, classes[0], arch, config)]
-        for c, future in zip(classes[1:], futures):
+        for future in futures:
             try:
                 results.append(future.result())
             except BrokenProcessPool:
-                raise ChildProcessError(f"the worker process training class {c} died") from None
+                unfinished = [str(c) for c, f in zip(classes[1:], futures)
+                              if isinstance(f.exception(), BrokenProcessPool)]
+                if len(unfinished) == 1:
+                    message = f"class {unfinished[0]} died"
+                else:
+                    message = (f"one of classes {', '.join(unfinished)} died; "
+                               "none of them finished")
+                raise ChildProcessError(f"the worker process training {message}") from None
     finally:
         pool.shutdown(cancel_futures=True)
     return results

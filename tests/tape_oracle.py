@@ -7,13 +7,75 @@ makes, including the fused nodes of the package when they are called on a
 TapeTensor, is a TapeTensor again. ``tape(t)`` gives an existing Tensor the
 ops in place, without adding a node, so the oracle's gradient order stays
 that of the graph it stands for.
+
+It also keeps the plain arithmetic that the package's kernels were first
+written in, as the byte-level oracles of their faster forms:
+``ORACLE_ACTIVATIONS`` (the activation table, which the per-op activations
+here apply) and ``OracleAdam`` (Adam with one moment array per parameter).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from flowconformal.autodiff import ACTIVATION_TABLE, Tensor
+from flowconformal.autodiff import Tensor
+
+_LEAKY_SLOPE = 0.2
+
+
+def _oracle_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# Activation tag -> (forward f(x), backward (g, x, y) -> g * f'(x) with y = f(x)),
+# in the plain formulas; flowconformal.autodiff.ACTIVATION_TABLE must give the
+# same bytes for every tag
+ORACLE_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0),
+             lambda g, x, y: g * (x > 0)),
+    "leaky-relu": (lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
+                   lambda g, x, y: g * np.where(x > 0, 1.0, _LEAKY_SLOPE)),
+    "tanh": (np.tanh,
+             lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_oracle_sigmoid,
+                lambda g, x, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x,
+                 lambda g, x, y: g),
+}
+
+
+class OracleAdam:
+    """Adam with one moment array per parameter, updated one parameter at a
+    time by whole-array expressions: the oracle of the flat in-place
+    ``flowconformal.nn.Adam``."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = list(params), lr, beta1, beta2, eps
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient in Adam step")
+            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
+            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
+            m_hat = self._m[i] / c1
+            v_hat = self._v[i] / c2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.grad = None
 
 
 def tape(t: Tensor) -> "TapeTensor":
@@ -213,7 +275,7 @@ class TapeTensor(Tensor):
         return self._make(out_data, (self,), backward)
 
     def _activation(self, tag: str) -> "Tensor":
-        forward, backward_fn = ACTIVATION_TABLE[tag]
+        forward, backward_fn = ORACLE_ACTIVATIONS[tag]
         out_data = forward(self.data)
 
         def backward(g):

@@ -1,12 +1,15 @@
 """Tape engine: the backward walk of ``Tensor`` and the per-op oracle ops of
-``tape_oracle.TapeTensor``, against central finite differences."""
+``tape_oracle.TapeTensor``, against central finite differences; and the
+activation table, byte for byte against its plain-formula oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import FD_STEP, finite_diff_grad, max_grad_error
-from flowconformal.autodiff import Tensor, as_tensor
-from tape_oracle import TapeTensor
+from flowconformal.autodiff import ACTIVATION_TABLE, Tensor, as_tensor
+from tape_oracle import ORACLE_ACTIVATIONS, TapeTensor
 
 
 def test_add_mul_scalar_chain():
@@ -190,3 +193,36 @@ def test_constant_graph_records_nothing():
 
 def test_fd_step_matches_protocol():
     assert FD_STEP == 1e-6
+
+
+# -- the activation table against its plain-formula oracle ------------------------
+
+# signed zeros (the relu kinks and the sigmoid's branch point), the smallest
+# subnormals, the normal/subnormal boundary, the overflow edge of 0.2x and of
+# g * y * (1 - y), and +-745, where exp(-|x|) underflows to the last subnormal
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308,
+          -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8,
+          36.8, -36.8, 1.0, -1.0, 0.2, -0.2]
+_VALUES = st.one_of(st.sampled_from(_EDGES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_BATCHES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=_VALUES)
+
+
+def _same(a, b):
+    """Same shape, dtype and bytes, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("tag", list(ACTIVATION_TABLE))
+@given(x=_BATCHES, data=st.data())
+def test_activation_bytes_equal_the_oracle(tag, x, data):
+    g = data.draw(arrays(np.float64, x.shape, elements=_VALUES), label="g")
+    forward, backward = ACTIVATION_TABLE[tag]
+    oracle_forward, oracle_backward = ORACLE_ACTIVATIONS[tag]
+    with np.errstate(all="ignore"):
+        y = oracle_forward(x)
+        assert _same(forward(x), y)
+        assert _same(backward(g, x, y), oracle_backward(g, x, y))

@@ -6,6 +6,7 @@ re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -16,6 +17,8 @@ import pathlib
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import MISSING
 
@@ -529,13 +532,18 @@ def test_retraining_on_fewer_classes_drops_the_old_models(tmp_path):
     models = sorted(p.name for p in (tmp_path / "out" / "models").iterdir())
     assert models == ["class_1.json", "class_2.json", "normalizer.json",
                       "trace_class_1.json", "trace_class_2.json"]
+    # the manifest lists what the directory holds, not the first run's models
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["artifacts"]["train"] == [f"models/{name}" for name in models]
 
 
 # sha256 of every file run-experiment writes for the three-class config at
 # seed 3, manifest.json without its two timestamps (as perfbench's
 # tree_digest takes them). Training runs BLAS products, so the bytes hold for
-# the numpy and BLAS builds below; elsewhere the test skips.
-GOLDEN_RUN_MACHINE = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
+# the numpy and BLAS builds below, with the gemm kernels of the OpenBLAS core
+# below; elsewhere the test skips.
+GOLDEN_RUN_MACHINE = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0",
+                      "blas_core": "SkylakeX"}
 GOLDEN_RUN_DIGESTS = {
     "data/calibration.csv":
         "2bf67c6d03dc5fb92c3565f508c4a08e3b7e5d72e089af34fee85a9f96cc4366",
@@ -606,10 +614,28 @@ GOLDEN_RUN_DIGESTS = {
 }
 
 
+def _openblas_core():
+    """The core whose kernels the OpenBLAS bundled with numpy runs here, or
+    None if it cannot be asked. A DYNAMIC_ARCH build picks the core per CPU
+    at load time; the core in np.show_config's "openblas configuration" is
+    that of the machine that built the wheel."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def _run_machine():
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version")}
+            "blas_version": blas.get("version"), "blas_core": _openblas_core()}
 
 
 def _tree_digest(out_dir):
@@ -636,6 +662,22 @@ def test_run_experiment_matches_the_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _run(tmp_path, _three_class_doc("out"), "run-experiment")
     assert _tree_digest(tmp_path / "out") == GOLDEN_RUN_DIGESTS
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, ~10 ms of every stage's start-up,
+    # to ask whether its input is masked; each stage runs in a fresh process
+    cfg_path, _ = write_config(tmp_path)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys\n"
+             "from flowconformal.cli import main\n"
+             "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)\n")
+    for stage in ("gen-data", "train", "calibrate", "predict", "evaluate"):
+        done = subprocess.run([sys.executable, "-c", probe, stage, "--config", cfg_path],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.stdout.split() == ["0", "False"], (stage, done.stdout, done.stderr)
 
 
 def test_calibrate_pool_sizes_match_training_rows(pipeline):

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowconformal.datasets import (
     OUTLIER,
@@ -23,6 +25,7 @@ from flowconformal.datasets import (
     load_idx_images,
     load_idx_labels,
     save_dataset_csv,
+    sorted_labels,
     split_stratified,
 )
 from flowconformal.errors import ConfigError, DataError
@@ -393,3 +396,12 @@ def test_dataset_csv_header_only_loads_empty(tmp_path):
     path.write_text("label,f_1,f_2\n")
     ds = load_dataset_csv(str(path))
     assert ds.n == 0 and ds.dim == 2
+
+
+@given(arrays(np.int64, st.integers(0, 60), elements=st.integers(-3, 12))
+       | arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                elements=st.integers(-(2 ** 63), 2 ** 63 - 1)))
+def test_sorted_labels_equal_np_unique(labels):
+    got = sorted_labels(labels)
+    want = np.unique(labels)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

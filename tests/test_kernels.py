@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import FD_STEP, finite_diff_grad, max_grad_error
 from flowconformal.errors import ConfigError, DataError
@@ -157,6 +159,45 @@ def test_median_bandwidth_matches_direct_distances():
         x = rng.normal(size=(40, d)) * 3.0 + 1e5
         direct = [math.dist(x[i], x[j]) for i in range(40) for j in range(i + 1, 40)]
         assert median_bandwidth(x) == pytest.approx(float(np.median(direct)), rel=1e-12)
+
+
+def oracle_median_bandwidth(samples):
+    """median_bandwidth as first written: every pair's root, then np.median."""
+    x = np.asarray(samples, dtype=np.float64)
+    iu = np.triu_indices(x.shape[0], k=1)
+    xc = x - x.mean(axis=0)
+    sq = _sq_dists(xc, xc.copy())[iu]
+    _, key = np.unique(x, axis=0, return_inverse=True)
+    key = key.ravel()
+    sq[key[iu[0]] == key[iu[1]]] = 0.0
+    pair = np.sqrt(sq)
+    med = float(np.median(pair))
+    if med > 0:
+        return med
+    mean = float(pair.mean())
+    if mean > 0:
+        return mean
+    raise DataError("degenerate sample for bandwidth: all points identical")
+
+
+@given(rows=st.integers(2, 40).flatmap(lambda n: arrays(
+           np.float64, (n, 2), elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-300]))
+       | arrays(np.float64, (n, 3), elements=st.floats(-1e6, 1e6))))
+def test_median_bandwidth_bytes_equal_the_oracle(rows):
+    # few distinct values give coincident rows, a zero median and the all-equal error
+    try:
+        expected = oracle_median_bandwidth(rows)
+    except DataError:
+        with pytest.raises(DataError, match="degenerate"):
+            median_bandwidth(rows)
+        return
+    assert np.float64(median_bandwidth(rows)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_sq_dists_of_one_operand_equals_two_equal_operands():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(30, 3)) * 7.0
+    assert _sq_dists(x, x).tobytes() == _sq_dists(x, x.copy()).tobytes()
 
 
 def test_resolve_bandwidth_passthrough_and_rule():

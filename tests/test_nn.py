@@ -1,12 +1,14 @@
 """MLP forward contracts, Adam update arithmetic, JSON persistence.
 
-The fused one-node ``Mlp.forward`` and the flat-buffer ``Adam`` are checked
-for exact equality (bytes, not a tolerance) against oracles kept here: the
-per-layer tape formulation of the forward pass and a per-parameter Adam.
+The fused one-node ``Mlp.forward`` and the flat in-place ``Adam`` are checked
+for exact equality (bytes, not a tolerance) against oracles: the per-layer
+tape formulation of the forward pass kept here, which applies the activation
+formulas of ``tape_oracle.ORACLE_ACTIVATIONS``, and ``tape_oracle.OracleAdam``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import check_mlp_gradients
 from flowconformal.nn import (
@@ -20,7 +22,7 @@ from flowconformal.nn import (
     params_to_json,
     to_json,
 )
-from tape_oracle import TapeTensor, tape
+from tape_oracle import OracleAdam, TapeTensor, tape
 
 
 def test_identity_layer_passes_through():
@@ -193,32 +195,6 @@ def _tape_predict(net, x):
     return _tape_forward(net, TapeTensor(np.asarray(x, dtype=np.float64))).data
 
 
-class _OracleAdam:
-    """Adam with one moment array per parameter, updated one parameter at a time."""
-
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params, self.lr, self.beta1, self.beta2, self.eps = list(params), lr, beta1, beta2, eps
-        self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient in Adam step")
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
-            m_hat = self._m[i] / c1
-            v_hat = self._v[i] / c2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.grad = None
-
-
 def _same(a, b):
     """Bit-identical arrays: same shape and the same bytes (so -0.0 != 0.0)."""
     a, b = np.asarray(a), np.asarray(b)
@@ -314,7 +290,7 @@ def test_flat_adam_equals_per_parameter_oracle():
     fused = _adam_params(np.random.default_rng(4))
     oracle = _adam_params(np.random.default_rng(4))
     opts = []
-    for params, cls in ((fused, Adam), (oracle, _OracleAdam)):
+    for params, cls in ((fused, Adam), (oracle, OracleAdam)):
         opts.append((cls(params[:4], lr=1e-2), cls(params[2:], lr=3e-3, beta1=0.5)))
     for step in range(5):
         for which in (0, 1):
@@ -327,6 +303,33 @@ def test_flat_adam_equals_per_parameter_oracle():
             for pf, po in zip(fused, oracle):
                 assert _same(pf.data, po.data)
     assert opts[0][0].t == opts[1][0].t == 5
+
+
+# gradients of every scale: signed zeros, subnormals, and values whose square
+# or first moment overflows
+_ADAM_GRADS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e-160, 1e154, -1e154, 1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(grads=st.lists(st.lists(_ADAM_GRADS, min_size=27, max_size=27), min_size=1, max_size=4),
+       lr=st.sampled_from([1e-4, 1e-3, 0.5]))
+def test_flat_adam_bytes_equal_the_oracle_on_extreme_gradients(grads, lr):
+    fused = _adam_params(np.random.default_rng(4))
+    oracle = _adam_params(np.random.default_rng(4))
+    opts = [Adam(fused, lr=lr), OracleAdam(oracle, lr=lr)]
+    with np.errstate(all="ignore"):
+        for flat in grads:
+            flat = np.asarray(flat)
+            for params, opt in zip((fused, oracle), opts):
+                at = 0
+                for p in params:
+                    p.grad = flat[at:at + p.data.size].reshape(p.data.shape).copy()
+                    at += p.data.size
+                opt.step()
+            for pf, po in zip(fused, oracle):
+                assert _same(pf.data, po.data)
 
 
 def test_flat_adam_nan_gradient_raises_and_leaves_parameters():
@@ -364,7 +367,7 @@ def test_training_with_oracles_writes_the_same_model_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(Mlp, "forward", _tape_forward)
     monkeypatch.setattr(Mlp, "__call__", _tape_forward)
     monkeypatch.setattr(Mlp, "predict", _tape_predict)
-    monkeypatch.setattr(roundtrip, "Adam", _OracleAdam)
+    monkeypatch.setattr(roundtrip, "Adam", OracleAdam)
     oracle = train_and_save("oracle.json")
     assert fused == oracle
 
