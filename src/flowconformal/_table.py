@@ -2,9 +2,9 @@
 
 A table is one header line of comma-separated column names, then one line
 per row. The header is a fixed run of names, optionally followed by at least
-one ``<prefix><int>`` column (``f_1``, ``pi_3``, ``p_2``) holding floats.
-Floats are written with 17 significant digits (``FLOAT``), so a float64
-survives a write/read round trip exactly.
+one ``<prefix><int>`` column (``f_1``, ``pi_3``, ``p_2``, ``in_4``) holding
+floats, no number twice. Floats are written with 17 significant digits
+(``FLOAT``), so a float64 survives a write/read round trip exactly.
 
 Writing formats ``_CHUNK`` rows at a time. When at least a third of a
 sample of the chunk's float values repeats an earlier one (``_repeats``;
@@ -22,19 +22,17 @@ float column is converted with one ``map`` into an array, and the prefixed
 columns with one ``map(float)``. When at least a third of a sample of a
 block's float fields repeats, ``float`` runs once per distinct field text of
 the block, through a memo; a text always parses to the same value, so the
-arrays are unchanged. Any other parser (a str -> value function such as the
-set-token check) runs once per distinct field value, memoised across blocks.
-Memory stays near the text of one block plus twice the output arrays (the
-blocks, then their concatenation); parsing the whole file at once would hold
-every field of it as a Python string. Blank lines are skipped. A block that
-fails any check is rescanned line by line, so the DataError names the file
-and the line of the first row with the wrong field count, a field that does
-not parse, or an int outside int64.
+arrays are unchanged. Memory stays near the text of one block plus twice the
+output arrays (the blocks, then their concatenation); parsing the whole file
+at once would hold every field of it as a Python string. Blank lines are
+skipped. A block that fails any check is rescanned line by line, so the
+DataError names the file and the line of the first row with the wrong field
+count, a field that does not parse, or an int outside int64.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -44,7 +42,6 @@ FLOAT = "%.17g"
 _CHUNK = 256  # rows turned into Python objects at a time, so memory stays near the text size
 _BLOCK_FIELDS = 16384  # fields parsed at a time by read_table
 _SAMPLE = 256  # values of a block that _repeats looks at
-_DTYPES = {int: np.int64, float: np.float64}
 
 
 def write_table(path: str, header, columns, formats) -> None:
@@ -95,10 +92,9 @@ def read_table(path: str, names, parsers, prefix: str | None = None):
     """Read the table at ``path``; returns (prefixed column ints, columns).
 
     The header must be ``names``, followed with ``prefix`` by at least one
-    ``<prefix><int>`` column. ``parsers`` convert the fields of the named
-    columns (int, float, or any str -> value function that raises ValueError).
-    Int and float columns come back as arrays, others as lists; with
-    ``prefix`` a last (rows, prefixed columns) float array follows.
+    ``<prefix><int>`` column, no number twice. ``parsers`` (int or float)
+    convert the fields of the named columns into arrays; with ``prefix`` a
+    last (rows, prefixed columns) float array follows.
     """
     k = len(names)
     with open(path) as fh:
@@ -115,30 +111,27 @@ def read_table(path: str, names, parsers, prefix: str | None = None):
                 keys.append(int(col[len(prefix):]))
             except ValueError:
                 raise DataError(f"{path}: malformed column {col!r} in header {header!r}") from None
+            if keys[-1] in keys[:-1]:
+                raise DataError(f"{path}: repeated column {col!r} in header {header!r}")
         if prefix is not None and not keys:
             raise DataError(f"{path}: header {header!r} has no {prefix}<int> column")
         n = len(fields)
-        memos = [{} for _ in parsers]
         # an empty block first, so every column concatenates to the right dtype and shape
-        blocks = [[col] for col in _parse_block([], n, parsers, memos, bool(keys))]
+        blocks = [[col] for col in _parse_block([], n, parsers, bool(keys))]
         ln = 2
         while lines := list(islice(fh, max(1, _BLOCK_FIELDS // n))):
             try:
-                cols = _parse_block(lines, n, parsers, memos, bool(keys))
+                cols = _parse_block(lines, n, parsers, bool(keys))
             except (ValueError, OverflowError):
                 _rescan(path, ln, lines, n, parsers)
                 raise  # the line loop accepts what the block parse rejected: a reader bug
             for acc, col in zip(blocks, cols):
                 acc.append(col)
             ln += len(lines)
-    out = [np.concatenate(col) if parse in _DTYPES else list(chain.from_iterable(col))
-           for col, parse in zip(blocks, parsers)]
-    if keys:
-        out.append(np.concatenate(blocks[-1]))
-    return tuple(keys), out
+    return tuple(keys), list(map(np.concatenate, blocks))
 
 
-def _parse_block(lines, n, parsers, memos, prefixed):
+def _parse_block(lines, n, parsers, prefixed):
     """The columns of one block of lines, then with ``prefixed`` its
     (rows, n - len(parsers)) float array; ValueError or OverflowError on any
     bad line, left for ``_rescan`` to name."""
@@ -147,16 +140,10 @@ def _parse_block(lines, n, parsers, memos, prefixed):
         raise ValueError("field count")
     parts = ",".join(rows).split(",") if rows else []
     cols = []
-    for j, (parse, memo) in enumerate(zip(parsers, memos)):
+    for j, parse in enumerate(parsers):
         col = parts[j::n]
-        if parse is float:
-            cols.append(_floats(col))
-        elif parse in _DTYPES:
-            cols.append(np.fromiter(map(parse, col), _DTYPES[parse], len(col)))
-        else:
-            for token in set(col).difference(memo):
-                memo[token] = parse(token)
-            cols.append(list(map(memo.__getitem__, col)))
+        cols.append(_floats(col) if parse is float
+                    else np.fromiter(map(int, col), np.int64, len(col)))
     if prefixed:
         # drop the named columns in place; the prefixed fields are left row by row
         for j in range(len(parsers)):

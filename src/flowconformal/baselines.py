@@ -89,9 +89,8 @@ def train_softmax_classifier(
     class_labels = tuple(int(v) for v in sorted_labels(y))
     if len(class_labels) < 2:
         raise DataError(f"need at least 2 classes, got {class_labels}")
-    col = {label: j for j, label in enumerate(class_labels)}
     onehot = np.zeros((x.shape[0], len(class_labels)))
-    onehot[np.arange(x.shape[0]), [col[int(v)] for v in y]] = 1.0
+    onehot[np.arange(x.shape[0]), np.searchsorted(class_labels, y)] = 1.0
 
     rng = np.random.default_rng(seed)
     spec = MlpSpec((x.shape[1], *config.hidden, len(class_labels)),

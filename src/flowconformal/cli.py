@@ -50,7 +50,7 @@ from .conformal import (
     build_score_pool,
     load_p_values,
     load_pools,
-    load_set_matrix,
+    load_sets,
     p_value_matrix,
     predictive_set,
     save_p_values,
@@ -407,9 +407,7 @@ def _gen_synthetic(cfg: ExperimentConfig):
         covariances=None if out["covariance"] is None else [out["covariance"]],
         labels=(len(means) + 1,)))
     # exported with label 0: these rows are never a training class
-    outliers = LabeledDataset(outliers.features,
-                              np.zeros(outliers.n, dtype=np.int64),
-                              ("outlier",) * outliers.n)
+    outliers = LabeledDataset(outliers.features, np.zeros(outliers.n, dtype=np.int64))
     return train, calib, test, outliers
 
 
@@ -425,8 +423,7 @@ def _load_idx_splits(cfg: ExperimentConfig):
         train_all = train_all.take(np.flatnonzero(keep_train))
         out_rows = np.flatnonzero(test_all.labels == internal)
         outliers = LabeledDataset(test_all.features[out_rows],
-                                  np.zeros(out_rows.size, dtype=np.int64),
-                                  ("outlier",) * out_rows.size)
+                                  np.zeros(out_rows.size, dtype=np.int64))
         test = test_all.take(np.flatnonzero(test_all.labels != internal))
     else:
         outliers = LabeledDataset(np.empty((0, train_all.dim)), np.empty(0, dtype=np.int64))
@@ -565,7 +562,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
         if not (os.path.exists(pv_path) and os.path.exists(set_path)):
             raise DataError(f"predictions missing for rate {rate}; run predict first")
         labels, _, matrix = load_p_values(pv_path)
-        sets = load_set_matrix(set_path, labels)
+        set_labels, _, sets = load_sets(set_path)
+        if set_labels != labels:
+            raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
         if sets.shape[0] != test.n or matrix.shape[0] != test.n:
             raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
         report = build_report(sets, test.labels, alpha,

@@ -4,8 +4,7 @@ stratified splits, normalization, and CSV round-trips.
 Class labels are positive integers 1..L; the reserved label 0 marks outlier
 rows (``OUTLIER``). IDX digit labels 0..9 therefore load as 1..10. CSV files
 carry the header ``label,f_1,...,f_p`` and feature values with 17 significant
-digits, so a save/load round-trip is exact. Tags record where rows came from
-(in memory only; the CSV schema does not carry them).
+digits, so a save/load round-trip is exact.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    tags: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -80,10 +78,6 @@ class LabeledDataset:
             raise DataError("features contain non-finite values")
         if np.any(self.labels < 0):
             raise DataError("labels must be >= 0 (0 is the outlier token)")
-        if self.tags is not None:
-            self.tags = tuple(self.tags)
-            if len(self.tags) != self.features.shape[0]:
-                raise DataError("one tag per row is required when tags are given")
 
     @property
     def n(self) -> int:
@@ -96,12 +90,8 @@ class LabeledDataset:
     def class_labels(self) -> tuple[int, ...]:
         return tuple(int(v) for v in sorted_labels(self.labels) if v != OUTLIER)
 
-    def rows_for(self, label: int) -> np.ndarray:
-        return self.features[self.labels == label]
-
     def take(self, idx: np.ndarray) -> "LabeledDataset":
-        tags = tuple(self.tags[i] for i in idx) if self.tags is not None else None
-        return LabeledDataset(self.features[idx], self.labels[idx], tags)
+        return LabeledDataset(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -160,14 +150,9 @@ def gen_gaussian_classes(spec: SyntheticSpec) -> LabeledDataset:
     rng = np.random.default_rng(spec.seed)
     p = spec.dim
     covs = spec.covariances if spec.covariances is not None else [np.eye(p)] * len(spec.means)
-    feats = []
-    labs = []
-    tags = []
-    for mean, cov, label in zip(spec.means, covs, spec.class_labels):
-        feats.append(rng.multivariate_normal(mean, cov, size=spec.n_per_class))
-        labs.append(np.full(spec.n_per_class, label, dtype=np.int64))
-        tags.extend([f"synthetic-class-{label}"] * spec.n_per_class)
-    return LabeledDataset(np.vstack(feats), np.concatenate(labs), tuple(tags))
+    feats = [rng.multivariate_normal(mean, cov, size=spec.n_per_class)
+             for mean, cov in zip(spec.means, covs)]
+    return LabeledDataset(np.vstack(feats), np.repeat(spec.class_labels, spec.n_per_class))
 
 
 @dataclass(frozen=True)
@@ -210,10 +195,7 @@ def inject_contamination(inliers: LabeledDataset, spec: ContaminationSpec) -> La
     picks = rng.choice(pool.shape[0], size=o, replace=False)
     feats = np.vstack([inliers.features, pool[picks]])
     labs = np.concatenate([inliers.labels, np.full(o, OUTLIER, dtype=np.int64)])
-    tags = None
-    if inliers.tags is not None:
-        tags = inliers.tags + ("outlier",) * o
-    combined = LabeledDataset(feats, labs, tags)
+    combined = LabeledDataset(feats, labs)
     return combined.take(rng.permutation(combined.n))
 
 
@@ -274,7 +256,7 @@ def load_idx_dataset(images_path: str, labels_path: str) -> LabeledDataset:
         raise DataError(
             f"image/label count mismatch: {images.shape[0]} images, {labels.shape[0]} labels"
         )
-    return LabeledDataset(images, labels + 1, ("idx",) * images.shape[0])
+    return LabeledDataset(images, labels + 1)
 
 
 # -- splits and normalization ---------------------------------------------------

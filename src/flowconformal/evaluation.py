@@ -14,7 +14,7 @@ the ideal value is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,15 +166,7 @@ class EvalReport:
     counts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "size_error_paper": self.size_error_paper,
-            "size_error_excess": self.size_error_excess,
-            "type1_per_class": self.type1_per_class,
-            "outlier_detection_rate": self.outlier_detection_rate,
-            "ks": self.ks,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 def build_report(sets, labels, alpha: float,

@@ -18,7 +18,7 @@ BLAS threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ConfigError, DataError
 __all__ = [
     "KernelSpec",
     "Mmd2Estimate",
-    "MEDIAN_HEURISTIC",
     "median_bandwidth",
     "resolve_bandwidth",
     "kernel_eval",
@@ -36,31 +35,18 @@ __all__ = [
     "mmd2_unbiased_graph",
 ]
 
-MEDIAN_HEURISTIC = "median-heuristic"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel with either a fixed bandwidth or a deferred rule."""
+    """Gaussian kernel; a bandwidth of None is left to the median heuristic."""
 
-    family: str = "gaussian"
     bandwidth: float | None = None
-    bandwidth_rule: str | None = None
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ConfigError(f"unsupported kernel family {self.family!r}")
-        has_bw = self.bandwidth is not None
-        has_rule = self.bandwidth_rule is not None
-        if has_bw == has_rule:
-            raise ConfigError("specify exactly one of bandwidth or bandwidth_rule")
-        if has_bw:
+        if self.bandwidth is not None:
             bw = float(self.bandwidth)
             if not np.isfinite(bw) or bw <= 0:
                 raise ConfigError(f"bandwidth must be finite and positive, got {self.bandwidth}")
             object.__setattr__(self, "bandwidth", bw)
-        elif self.bandwidth_rule != MEDIAN_HEURISTIC:
-            raise ConfigError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
 
     @property
     def resolved(self) -> bool:
@@ -131,10 +117,10 @@ def median_bandwidth(samples: np.ndarray) -> float:
 
 
 def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray) -> KernelSpec:
-    """Pin a rule-based spec to a concrete bandwidth computed from ``samples``."""
+    """Pin a median-heuristic spec to the bandwidth of ``samples``."""
     if spec.resolved:
         return spec
-    return replace(spec, bandwidth=median_bandwidth(samples), bandwidth_rule=None)
+    return KernelSpec(median_bandwidth(samples))
 
 
 def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:

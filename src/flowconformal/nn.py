@@ -46,6 +46,9 @@ ACTIVATIONS = tuple(ACTIVATION_TABLE)
 
 _FORMAT_VERSION = 1
 
+# Adam's moment decay rates and the offset of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def hidden_widths(name: str, widths) -> tuple[int, ...]:
     """The config field ``name``'s hidden layer widths as ints, each >= 1."""
@@ -201,17 +204,11 @@ class Adam:
     with another optimizer, which keeps its own moments.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         ends = np.cumsum([p.data.size for p in self.params]).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
@@ -232,7 +229,7 @@ class Adam:
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient in Adam step")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
@@ -248,7 +245,7 @@ class Adam:
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         np.divide(m, c1, out=update)
         update *= self.lr
         update /= tmp

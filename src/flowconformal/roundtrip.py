@@ -42,11 +42,10 @@ import numpy as np
 from .autodiff import Tensor
 from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
-from .kernels import KernelSpec, MEDIAN_HEURISTIC, mmd2_unbiased_graph, resolve_bandwidth
+from .kernels import KernelSpec, mmd2_unbiased_graph, resolve_bandwidth
 from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict, to_json
 
 __all__ = [
-    "LatentSpec",
     "FlowArchitecture",
     "TrainConfig",
     "TrainTrace",
@@ -67,17 +66,6 @@ __all__ = [
 
 _PROB_FLOOR = 1e-7
 _MODEL_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class LatentSpec:
-    """Latent dimension; the reference distribution is standard normal."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"latent dim must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -154,13 +142,7 @@ class TrainTrace:
     pred: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "disc": self.disc,
-            "gan": self.gan,
-            "mmd": self.mmd,
-            "cycle": self.cycle,
-            "pred": self.pred,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -172,18 +154,12 @@ class ClassFlowModel:
     inverse: Mlp
     discriminator: Mlp
     head: Mlp
-    latent: LatentSpec = None
     train_config: dict | None = None
 
     def __post_init__(self):
         if self.class_label <= 0:
             raise ConfigError(f"class_label must be positive, got {self.class_label}")
-        if self.latent is None:
-            self.latent = LatentSpec(self.inverse.spec.output_dim)
-        d = self.latent.dim
-        p = self.inverse.spec.input_dim
-        if self.inverse.spec.output_dim != d:
-            raise ConfigError("inverse map output dim disagrees with the latent spec")
+        d, p = self.latent_dim, self.input_dim
         if self.generator.spec.input_dim != d or self.generator.spec.output_dim != p:
             raise ConfigError("generator shape disagrees with inverse map")
         if self.discriminator.spec.input_dim != p or self.discriminator.spec.output_dim != 1:
@@ -193,7 +169,8 @@ class ClassFlowModel:
 
     @property
     def latent_dim(self) -> int:
-        return self.latent.dim
+        """The latent size: the inverse map's output width."""
+        return self.inverse.spec.output_dim
 
     @property
     def input_dim(self) -> int:
@@ -211,7 +188,7 @@ def build_class_flow(arch: FlowArchitecture, class_label: int,
     disc = Mlp(MlpSpec((p, *arch.disc_hidden, 1),
                        ("leaky-relu",) * len(arch.disc_hidden), "sigmoid"), rng=rng)
     head = Mlp(MlpSpec((d, 1), (), "sigmoid"), rng=rng)
-    return ClassFlowModel(class_label, gen, inv, disc, head, LatentSpec(d))
+    return ClassFlowModel(class_label, gen, inv, disc, head)
 
 
 def sample_latent(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -423,8 +400,7 @@ def train_class_flow(
     opt_main = Adam(gen.parameters() + inv.parameters(), lr=config.lr_gen)
     opt_pred = Adam(inv.parameters() + head.parameters(), lr=config.lr_pred)
 
-    base_kernel = (KernelSpec(bandwidth=config.bandwidth) if config.bandwidth is not None
-                   else KernelSpec(bandwidth_rule=MEDIAN_HEURISTIC))
+    base_kernel = KernelSpec(config.bandwidth)
     batch = config.batch_size
     steps = n // batch
     d = arch.latent_dim
@@ -605,9 +581,8 @@ def load_class_flow(path: str) -> ClassFlowModel:
         mlp_from_dict(doc["inverse"]),
         mlp_from_dict(doc["discriminator"]),
         mlp_from_dict(doc["head"]),
-        LatentSpec(int(doc["latent_dim"])),
         doc.get("train_config"),
     )
-    if model.input_dim != int(doc["input_dim"]):
+    if (model.input_dim, model.latent_dim) != (int(doc["input_dim"]), int(doc["latent_dim"])):
         raise DataError(f"{path}: declared dimensions disagree with stored networks")
     return model

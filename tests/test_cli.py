@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowconformal import baselines, roundtrip
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
-from flowconformal.conformal import load_p_values, load_set_matrix
+from flowconformal.conformal import load_p_values, load_sets
 from flowconformal.datasets import load_dataset_csv
 from flowconformal.errors import ConfigError, DataError
 from loss_oracle import tape_cross_entropy
@@ -582,9 +582,9 @@ GOLDEN_RUN_DIGESTS = {
     "predictions/pvalues_c10.csv":
         "6746f79b498c4901af05c3eb18bc5a64a196eea05107ed6976d2b5d237deae95",
     "predictions/sets_c0.csv":
-        "7e22ba58fbe4cb0ff804201deb99a3c96e75ce7de325d09815d5791409cc5233",
+        "bc3cdf4403a1d7b65f6e9a4385779034ad8dff7decee2ef0a7157f2465406aef",
     "predictions/sets_c10.csv":
-        "248f4e013104d0e5816fe7bc0ab20744db9fb5e9b586f44494ca525625aabcd0",
+        "ee6d12568f41df7ec177e34301dc8a5898158f422f48e623db9317039d26bb4e",
     "reports/comparison.csv":
         "a719b8e58b7ae5746d0f0cf9375170bc26424f80d51e74a0072d5b15c51c0d8f",
     "reports/hist_c0_class1.csv":
@@ -713,7 +713,8 @@ def test_sets_re_derivable_from_p_values(pipeline):
     for token in ("c0", "c10"):
         labels, _, matrix = load_p_values(
             str(out / "predictions" / f"pvalues_{token}.csv"))
-        member = load_set_matrix(str(out / "predictions" / f"sets_{token}.csv"), labels)
+        named, _, member = load_sets(str(out / "predictions" / f"sets_{token}.csv"))
+        assert named == labels
         assert np.array_equal(member, matrix >= ALPHA)
 
 
@@ -722,8 +723,9 @@ def test_outlier_token_written_iff_every_p_below_alpha(pipeline):
     labels, _, matrix = load_p_values(str(out / "predictions" / "pvalues_c10.csv"))
     raw = (out / "predictions" / "sets_c10.csv").read_text().splitlines()[1:]
     tokens = [line.split(",", 1)[1] for line in raw]
+    assert len(tokens) == len(matrix)
     for row, token in zip(matrix, tokens):
-        assert (token == "OUTLIER") == bool(np.all(row < ALPHA))
+        assert (token == ",".join(["0"] * len(labels))) == bool(np.all(row < ALPHA))
 
 
 def test_predict_accepts_explicit_test_file(pipeline):
@@ -859,21 +861,35 @@ def test_comparison_table_layout(pipeline):
 
 
 def test_evaluate_places_set_columns_by_class_label(pipeline, tmp_path):
-    # a sets file that never names class 1 still scores class 2 in its own column
+    # a sets file whose class 1 column is all zeros still scores class 2 in its own column
     cfg_path, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     labels = load_dataset_csv(str(copy / "data" / "test_c0.csv")).labels
-    tokens = ["2" if lab == 2 else "OUTLIER" for lab in labels]
     (copy / "predictions" / "sets_c0.csv").write_text(
-        "sample_id,set\n" + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
+        "sample_id,in_1,in_2\n" + "".join(f"{i},0,{int(lab == 2)}\n"
+                                          for i, lab in enumerate(labels)))
     assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
                  "--baselines", "off"]) == 0
     doc = json.loads((copy / "reports" / "report_flow_c0.json").read_text())
     assert doc["coverage"] == float(np.mean(labels == 2))
-    (copy / "predictions" / "sets_c0.csv").write_text("sample_id,set\n0,7\n")
-    assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
-                 "--baselines", "off"]) == 2
+
+
+@pytest.mark.parametrize("header", ["in_2,in_1", "in_1,in_7", "in_1,in_2,in_3", "in_1"])
+def test_evaluate_exits_two_when_set_classes_differ_from_the_p_values(pipeline, tmp_path,
+                                                                      header):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    n = len(load_dataset_csv(str(copy / "data" / "test_c0.csv")).labels)
+    width = header.count(",") + 1
+    path = copy / "predictions" / "sets_c0.csv"
+    path.write_text(f"sample_id,{header}\n" + "".join(f"{i}{',0' * width}\n" for i in range(n)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", cfg_path, "--out", str(copy), "--baselines", "off"])
+    assert code == 2
+    assert f"{path} has classes" in err.getvalue() and "has (1, 2)" in err.getvalue()
 
 
 def test_evaluate_with_the_tape_cross_entropy_writes_the_same_bytes(pipeline, tmp_path,

@@ -18,7 +18,6 @@ from flowconformal.conformal import (
     build_score_pool,
     load_p_values,
     load_pools,
-    load_set_matrix,
     load_sets,
     nonconformity_scores,
     p_value,
@@ -399,7 +398,7 @@ def test_set_csv_roundtrip_with_outlier_token(tmp_path):
     path = str(tmp_path / "sets.csv")
     save_sets(path, (1, 2, 3), member)
     raw = (tmp_path / "sets.csv").read_text().splitlines()
-    assert raw == ["sample_id,set", "0,1|3", "1,OUTLIER", "2,2"]
+    assert raw == ["sample_id,in_1,in_2,in_3", "0,1,0,1", "1,0,0,0", "2,0,1,0"]
     labels, ids, back = load_sets(path)
     assert labels == (1, 2, 3)
     assert np.array_equal(ids, [0, 1, 2])
@@ -407,15 +406,11 @@ def test_set_csv_roundtrip_with_outlier_token(tmp_path):
 
 
 def test_set_csv_labels_are_the_classes_named(tmp_path):
-    # a class no row's set contains has no column on reading; load_set_matrix
-    # places the columns by the labels it is given
+    # the header names every class in the writer's order, so a class no
+    # row's set contains keeps its column
     path = str(tmp_path / "sets.csv")
     member = np.array([[False, False, True], [False, False, False]])
-    save_sets(path, (4, 7, 9), member)
+    save_sets(path, (9, 4, 7), member)
     labels, _, back = load_sets(path)
-    assert labels == (9,)
-    assert back.tolist() == [[True], [False]]
-    assert np.array_equal(load_set_matrix(path, (4, 7, 9)), member)
-    assert np.array_equal(load_set_matrix(path, (9, 4, 7)), member[:, [2, 0, 1]])
-    with pytest.raises(DataError, match="outside"):
-        load_set_matrix(path, (4, 7))
+    assert labels == (9, 4, 7)
+    assert np.array_equal(back, member)

@@ -42,19 +42,15 @@ def test_dataset_validates_shapes_and_values():
         LabeledDataset(np.array([[np.inf]]), np.array([1]))
     with pytest.raises(DataError, match=">= 0"):
         LabeledDataset(np.zeros((1, 1)), np.array([-1]))
-    with pytest.raises(DataError, match="tag"):
-        LabeledDataset(np.zeros((2, 1)), np.array([1, 2]), tags=("a",))
 
 
 def test_dataset_accessors():
-    ds = LabeledDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1, 0, 2]),
-                        tags=("a", "b", "c"))
+    ds = LabeledDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1, 0, 2]))
     assert ds.n == 3 and ds.dim == 1
     assert ds.class_labels() == (1, 2)
-    assert np.array_equal(ds.rows_for(1), [[1.0]])
     sub = ds.take(np.array([2, 0]))
     assert np.array_equal(sub.features, [[3.0], [1.0]])
-    assert sub.tags == ("c", "a")
+    assert np.array_equal(sub.labels, [2, 1])
 
 
 # -- synthetic generation -------------------------------------------------------------
@@ -65,7 +61,7 @@ def test_synthetic_counts_and_labels_exact():
     assert ds.n == 150 and ds.dim == 2
     for label in (1, 2, 3):
         assert int(np.sum(ds.labels == label)) == 50
-    assert ds.tags[0] == "synthetic-class-1" and ds.tags[-1] == "synthetic-class-3"
+    assert ds.labels[0] == 1 and ds.labels[-1] == 3
 
 
 def test_synthetic_same_seed_is_identical():
@@ -81,7 +77,7 @@ def test_synthetic_class_means_near_targets():
     spec = SyntheticSpec(means=((0.0, 0.0), (5.0, 5.0)), n_per_class=1000, seed=2)
     ds = gen_gaussian_classes(spec)
     for label, target in ((1, (0.0, 0.0)), (2, (5.0, 5.0))):
-        got = ds.rows_for(label).mean(axis=0)
+        got = ds.features[ds.labels == label].mean(axis=0)
         assert np.all(np.abs(got - np.asarray(target)) <= 0.1)
 
 
@@ -174,14 +170,6 @@ def test_contamination_errors():
         inject_contamination(_inliers(900), ContaminationSpec(0.1, np.zeros((10, 2))))
 
 
-def test_contamination_tags_mark_outlier_rows():
-    ds = LabeledDataset(np.zeros((18, 1)), np.ones(18, dtype=int), tags=("in",) * 18)
-    out = inject_contamination(ds, ContaminationSpec(0.1, np.ones((5, 1)), seed=2))
-    assert out.n == 20
-    marked = [tag for tag, lab in zip(out.tags, out.labels) if lab == OUTLIER]
-    assert marked == ["outlier", "outlier"]
-
-
 # -- IDX binary files -------------------------------------------------------------------
 
 def _idx_image_bytes(pixels):
@@ -215,7 +203,6 @@ def test_idx_dataset_shifts_labels_up_by_one(tmp_path):
     ds = load_idx_dataset(str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"))
     assert np.array_equal(ds.labels, [1, 2, 10])
     assert np.all(ds.features == 1.0)
-    assert ds.tags == ("idx",) * 3
 
 
 def test_idx_wrong_magic_is_distinct_error(tmp_path):

@@ -11,7 +11,6 @@ from conftest import FD_STEP, finite_diff_grad, max_grad_error
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
-    MEDIAN_HEURISTIC,
     _sq_dists,
     kernel_eval,
     median_bandwidth,
@@ -89,14 +88,11 @@ def test_kernel_dimension_mismatch():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ConfigError):
-        KernelSpec()  # neither bandwidth nor rule
-    with pytest.raises(ConfigError):
-        KernelSpec(bandwidth=0.0)
-    with pytest.raises(ConfigError):
-        KernelSpec(bandwidth=1.0, bandwidth_rule=MEDIAN_HEURISTIC)
-    with pytest.raises(ConfigError):
-        KernelSpec(family="laplace", bandwidth=1.0)
+    assert not KernelSpec().resolved  # the median heuristic, resolved later
+    assert KernelSpec(bandwidth=2).bandwidth == 2.0
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            KernelSpec(bandwidth=bad)
 
 
 def test_median_bandwidth_hand_cases():
@@ -203,8 +199,7 @@ def test_sq_dists_of_one_operand_equals_two_equal_operands():
 def test_resolve_bandwidth_passthrough_and_rule():
     fixed = KernelSpec(bandwidth=2.0)
     assert resolve_bandwidth(fixed, np.zeros((3, 1))).bandwidth == 2.0
-    rule = KernelSpec(bandwidth_rule=MEDIAN_HEURISTIC)
-    resolved = resolve_bandwidth(rule, np.array([[0.0], [1.0], [2.0]]))
+    resolved = resolve_bandwidth(KernelSpec(), np.array([[0.0], [1.0], [2.0]]))
     assert resolved.bandwidth == pytest.approx(1.0)
 
 
@@ -306,9 +301,8 @@ def test_numeric_wrapper_equals_graph_path():
 
 
 def test_mmd_unresolved_bandwidth_rejected():
-    rule = KernelSpec(bandwidth_rule=MEDIAN_HEURISTIC)
     with pytest.raises(ConfigError, match="resolve"):
-        mmd2_unbiased(np.zeros((3, 1)), np.ones((3, 1)), rule)
+        mmd2_unbiased(np.zeros((3, 1)), np.ones((3, 1)), KernelSpec())
 
 
 # -- fused node against the tape oracle ------------------------------------------

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from flowconformal import roundtrip
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
-    MEDIAN_HEURISTIC,
     KernelSpec,
     mmd2_unbiased,
     resolve_bandwidth,
@@ -29,7 +28,6 @@ from flowconformal.nn import Mlp, MlpSpec
 from flowconformal.roundtrip import (
     ClassFlowModel,
     FlowArchitecture,
-    LatentSpec,
     TrainConfig,
     build_class_flow,
     encode,
@@ -202,8 +200,6 @@ def test_architecture_validation():
         FlowArchitecture(2, 0)
     with pytest.raises(ConfigError, match="latent_dim"):
         FlowArchitecture(2, 3)
-    with pytest.raises(ConfigError, match="latent dim"):
-        LatentSpec(0)
 
 
 def test_build_class_flow_wires_shapes():
@@ -226,8 +222,6 @@ def test_class_flow_model_shape_checks():
     ClassFlowModel(1, gen, inv, disc, head)
     with pytest.raises(ConfigError, match="class_label"):
         ClassFlowModel(0, gen, inv, disc, head)
-    with pytest.raises(ConfigError, match="latent spec"):
-        ClassFlowModel(1, gen, inv, disc, head, LatentSpec(3))
     with pytest.raises(ConfigError, match="generator"):
         ClassFlowModel(1, affine(3, 3, np.zeros((3, 3)), np.zeros(3)),
                        inv, disc, head)
@@ -629,8 +623,7 @@ def test_one_dim_training_standardizes_the_class():
     assert 0.7 <= float(z.var()) <= 1.3
 
     ref = rng.standard_normal((500, 1))
-    kernel = resolve_bandwidth(KernelSpec(bandwidth_rule=MEDIAN_HEURISTIC),
-                               np.vstack([z, ref]))
+    kernel = resolve_bandwidth(KernelSpec(), np.vstack([z, ref]))
     observed = mmd2_unbiased(z, ref, kernel).value
     nulls = [mmd2_unbiased(rng.standard_normal((500, 1)),
                            rng.standard_normal((500, 1)), kernel).value
@@ -667,4 +660,19 @@ def test_model_load_rejects_unknown_version(tmp_path):
     doc = path.read_text().replace('"version":1', '"version":99', 1)
     path.write_text(doc)
     with pytest.raises(DataError, match="version"):
+        load_class_flow(str(path))
+
+
+@pytest.mark.parametrize("key", ["input_dim", "latent_dim"])
+def test_model_load_rejects_declared_dimensions_that_disagree(tmp_path, key):
+    # the latent size is read off the inverse map; a stored one must match it
+    x, neg = _tiny_data()
+    model, _ = train_class_flow(x, neg, 1, TINY_ARCH,
+                                TrainConfig(epochs=1, batch_size=8))
+    path = tmp_path / "m.json"
+    save_class_flow(model, str(path))
+    doc = path.read_text()
+    assert f'"{key}":1,' in doc
+    path.write_text(doc.replace(f'"{key}":1,', f'"{key}":2,', 1))
+    with pytest.raises(DataError, match="declared dimensions disagree"):
         load_class_flow(str(path))

@@ -21,7 +21,6 @@ from flowconformal._table import FLOAT, read_table, write_table
 from flowconformal.baselines import load_prob_matrix, save_prob_matrix
 from flowconformal.conformal import (
     ScorePool,
-    _set_token,
     load_p_values,
     load_pools,
     load_sets,
@@ -65,7 +64,7 @@ def test_sets_text(tmp_path):
     path = tmp_path / "s.csv"
     member = np.array([[True, False, True], [False, False, False], [False, True, False]])
     save_sets(str(path), (1, 2, 5), member)
-    assert path.read_text() == "sample_id,set\n0,1|5\n1,OUTLIER\n2,2\n"
+    assert path.read_text() == "sample_id,in_1,in_2,in_5\n0,1,0,1\n1,0,0,0\n2,0,1,0\n"
 
 
 def test_sets_text_of_a_column_major_membership(tmp_path):
@@ -73,7 +72,7 @@ def test_sets_text_of_a_column_major_membership(tmp_path):
     save_sets(str(tmp_path / "f.csv"), range(1, 10), member)
     save_sets(str(tmp_path / "c.csv"), range(1, 10), np.ascontiguousarray(member))
     assert (tmp_path / "f.csv").read_text() == (tmp_path / "c.csv").read_text()
-    assert load_sets(str(tmp_path / "f.csv"))[2].tolist() == member[:, member.any(axis=0)].tolist()
+    assert load_sets(str(tmp_path / "f.csv"))[2].tolist() == member.tolist()
 
 
 def test_probabilities_text(tmp_path):
@@ -125,11 +124,10 @@ LOADERS = {
     "dataset": (load_dataset_csv, "label,f_1", "1,0.5"),
     "pools": (load_pools, "class,score", "1,0.5"),
     "p_values": (load_p_values, "sample_id,pi_1", "0,0.5"),
-    "sets": (load_sets, "sample_id,set", "0,1"),
+    "sets": (load_sets, "sample_id,in_1", "0,1"),
     "probabilities": (load_prob_matrix, "sample_id,p_1", "0,1.0"),
 }
-# the first field of every table is an int; the second a float or, for sets,
-# an int class label
+# the first field of every table is an int, the second a float
 BAD_ROWS = {
     "bad_int": lambda good: "x," + good.split(",")[1],
     "bad_float": lambda good: good.split(",")[0] + ",abc",
@@ -178,12 +176,28 @@ def test_header_errors_name_the_column(tmp_path):
         load_p_values(str(path))
 
 
-@pytest.mark.parametrize("token", ["", "0", "1|1", "1|x"])
+@pytest.mark.parametrize("token", ["", "1|1", "1|x", "2", "0.5", "nan", "-1"])
 def test_sets_reject_malformed_tokens(tmp_path, token):
+    # a field that is no float names its line; a float other than 0 or 1
+    # names its sample and column
     path = tmp_path / "s.csv"
-    path.write_text(f"sample_id,set\n0,1\n1,{token}\n")
-    with pytest.raises(DataError, match="s.csv:3:"):
+    path.write_text(f"sample_id,in_3,in_5\n0,1,0\n1,0,{token}\n")
+    with pytest.raises(DataError, match="s.csv:3: " if token in ("", "1|1", "1|x") else
+                       f"s.csv: sample 1 holds {token} in column in_5; expected 0 or 1"):
         load_sets(str(path))
+
+
+@pytest.mark.parametrize("load, header, row", [
+    (load_p_values, "sample_id,pi_2,pi_1,pi_2", "0,0.5,0.5,0.5"),
+    (load_prob_matrix, "sample_id,p_2,p_02", "0,0.5,0.5"),
+    (load_sets, "sample_id,in_1,in_2,in_2", "0,1,0,1"),
+], ids=["p_values", "probabilities", "sets"])
+def test_loaders_reject_a_repeated_column(tmp_path, load, header, row):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{header}\n{row}\n")
+    repeated = header.split(",")[-1]
+    with pytest.raises(DataError, match=f"t.csv: repeated column '{repeated}' in header"):
+        load(str(path))
 
 
 # -- exact round trips -------------------------------------------------------------------
@@ -233,11 +247,10 @@ def test_sets_round_trip(tmp_path_factory, member, data):
     path = str(tmp_path_factory.mktemp("rt") / "s.csv")
     save_sets(path, labels, member)
     named, ids, back = load_sets(path)
-    # columns come back for the classes some row names, ascending
-    cols = sorted((j for j in range(len(labels)) if member[:, j].any()), key=labels.__getitem__)
-    assert named == tuple(labels[j] for j in cols)
+    # every class comes back in header order, all-zero columns included
+    assert named == tuple(labels)
     assert np.array_equal(ids, np.arange(member.shape[0]))
-    assert np.array_equal(back, member[:, cols])
+    assert back.dtype == bool and np.array_equal(back, member)
 
 
 @given(arrays(np.float64, shapes, elements=st.floats(0.01, 10.0)))
@@ -266,11 +279,11 @@ def test_histogram_round_trip(tmp_path_factory, p_values, bins):
 def test_comparison_round_trip(tmp_path_factory, rows):
     first = tmp_path_factory.mktemp("rt") / "c.csv"
     emit_comparison([(m, r, EvalReport(v, v, v)) for m, r, v in rows], str(first))
-    _, (methods, rates, cov, paper, excess) = read_table(
-        str(first), COMPARISON, (str, float, float, float, float))
+    header, *lines = first.read_text().splitlines()
+    assert header == ",".join(COMPARISON)
     again = first.with_name("again.csv")
-    emit_comparison([(m, r, EvalReport(c, p, e))
-                     for m, r, c, p, e in zip(methods, rates, cov, paper, excess)], str(again))
+    emit_comparison([(m, float(r), EvalReport(float(c), float(p), float(e)))
+                     for m, r, c, p, e in map(lambda line: line.split(","), lines)], str(again))
     assert again.read_text() == first.read_text()
 
 
@@ -285,19 +298,14 @@ BAD_INTS = st.sampled_from(["x", "", "1.5", "99999999999999999999", "-9999999999
 GOOD_FLOATS = st.one_of(st.floats().map(repr), st.floats(allow_nan=False).map("%.17g".__mod__),
                         st.sampled_from(["nan", "-inf", "1e999", " 2.5 ", "\t-0\x0b", "7"]))
 BAD_FLOATS = st.sampled_from(["", "abc", "1e", "0x1p3", "1..2", "99999999999999999999x"])
-GOOD_TOKENS = st.sampled_from(["OUTLIER", "1", "2|1", "3|1|2", " 4 ", "10"])
-BAD_TOKENS = st.sampled_from(["", "0", "1|1", "1|x", "x", "-2"])
-TEXT = st.text(alphabet="ab |\t\x0b\u2028", max_size=4)
 
 # read_table's (names, parsers, prefix) per table kind; the fields (good, bad) per parser
 TABLES = {
     "dataset": (("label",), (int,), "f_"),
     "pools": (("class", "score"), (int, float), None),
-    "sets": (("sample_id", "set"), (int, _set_token), None),
-    "text": (("method", "rate"), (str, float), None),
+    "sets": (("sample_id",), (int,), "in_"),
 }
-FIELDS = {int: (GOOD_INTS, BAD_INTS), float: (GOOD_FLOATS, BAD_FLOATS),
-          _set_token: (GOOD_TOKENS, BAD_TOKENS), str: (TEXT, TEXT)}
+FIELDS = {int: (GOOD_INTS, BAD_INTS), float: (GOOD_FLOATS, BAD_FLOATS)}
 
 
 def _outcome(read, path, spec):
@@ -314,10 +322,7 @@ def _outcome(read, path, spec):
 def _assert_same(got, want):
     assert got[0] == want[0] and len(got[1]) == len(want[1])
     for a, b in zip(got[1], want[1]):
-        if isinstance(b, list):
-            assert type(a) is list and a == b
-        else:
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _line_of(message):
@@ -394,7 +399,7 @@ def _long_table(tmp_path, kind, rows, bad_line=None, bad=None):
     lines; with ``bad_line`` the row on that file line becomes ``bad``."""
     names, parsers, prefix = TABLES[kind]
     header = ",".join([*names, f"{prefix}1"]) if prefix else ",".join(names)
-    good = {"dataset": "3,0.25", "sets": "0,2|1"}[kind]
+    good = {"dataset": "3,0.25", "sets": "0,1"}[kind]
     lines = [header] + ["" if i % 1000 == 999 else good for i in range(rows)]
     if bad_line is not None:
         lines[bad_line - 1] = bad
@@ -407,7 +412,7 @@ def _long_table(tmp_path, kind, rows, bad_line=None, bad=None):
     ("dataset", "3,abc", "could not convert string to float: 'abc'"),
     ("dataset", "3,0.25,1", "expected 2 fields, got 3"),
     ("dataset", "99999999999999999999,0.25", "int field '99999999999999999999' is outside int64"),
-    ("sets", "5,1|1", "set '1|1' needs distinct positive class labels"),  # first seen late
+    ("sets", "5,1|1", "could not convert string to float: '1|1'"),
 ])
 def test_bad_line_in_a_later_block_is_named(tmp_path, kind, bad, message):
     rows = 3 * _table._BLOCK_FIELDS // 2  # the default reads 8192 lines a block here
@@ -424,10 +429,10 @@ def test_tables_longer_than_one_read_block(tmp_path, kind):
     _assert_matches_oracle(path)
 
 
-@pytest.mark.parametrize("header", ["label,f_1", "sample_id,set"])
+@pytest.mark.parametrize("header", ["label,f_1", "class,score"])
 @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
 def test_header_only_and_blank_tables_match_the_oracle(tmp_path, header, end):
-    kind = "dataset" if header.startswith("label") else "sets"
+    kind = "dataset" if header.startswith("label") else "pools"
     for body in ("", end + end + " " + end):
         path = tmp_path / f"{kind}.csv"
         path.write_bytes((header + end + body).encode())
@@ -490,8 +495,9 @@ def _layout(kind, rng, n, floats):
     if kind == "pools":
         return ("class", "score"), [rng.integers(1, 4, n), *floats(1)], ("%d", FLOAT)
     if kind == "sets":
-        tokens = np.asarray(["1|2", "OUTLIER", "3"], dtype=object)[rng.integers(0, 3, n)]
-        return ("sample_id", "set"), [ids, tokens], ("%d", "%s")
+        width = int(rng.choice([1, 3, 9]))
+        return (["sample_id", *(f"in_{j + 1}" for j in range(width))],
+                [ids, *(rng.random((width, n)) < 0.5)], ["%d"] * (width + 1))
     if kind == "histogram":
         return ("bin_left", "bin_right", "count"), [*floats(2), rng.integers(0, 9, n)], \
             (FLOAT, FLOAT, "%d")
