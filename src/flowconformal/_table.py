@@ -1,10 +1,20 @@
-"""The CSV table codec behind every artifact file.
+"""The CSV table codec behind every artifact table, and the JSON writer
+behind every other artifact.
 
 A table is one header line of comma-separated column names, then one line
 per row. The header is a fixed run of names, optionally followed by at least
 one ``<prefix><int>`` column (``f_1``, ``pi_3``, ``p_2``, ``in_4``) holding
 floats, no number twice. Floats are written with 17 significant digits
-(``FLOAT``), so a float64 survives a write/read round trip exactly.
+(``FLOAT``), so a float64 survives a write/read round trip exactly. A
+prediction table (``write_matrix``/``read_matrix``) is a ``sample_id``
+column holding 0..n-1 in order, then one ``<prefix><label>`` column per
+class of an (n, L) matrix.
+
+JSON artifacts (models, normalizer, traces, reports) are written by
+``write_json`` in the standard library's compact form. A float is written as
+its ``repr``, the shortest text that reads back to the same float64, so JSON
+floats round-trip exactly too. That text is not ``%.17g``'s: ``0.9413333333333334``
+where a table holds ``0.94133333333333336``, and ``1.0`` keeps its ``.0``.
 
 Writing formats ``_CHUNK`` rows at a time. When at least a third of a
 sample of the chunk's float values repeats an earlier one (``_repeats``;
@@ -32,6 +42,7 @@ count, a field that does not parse, or an int outside int64.
 
 from __future__ import annotations
 
+import json
 from itertools import islice, repeat
 
 import numpy as np
@@ -65,6 +76,36 @@ def write_table(path: str, header, columns, formats) -> None:
         lines.extend(map(fmt.__mod__, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as one line of compact JSON; a NaN or infinity raises ValueError."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def write_matrix(path: str, prefix: str, labels, matrix: np.ndarray, fmt: str) -> None:
+    """Write the (n, L) ``matrix`` as a prediction table: ``sample_id`` 0..n-1,
+    then column j as ``<prefix><labels[j]>``, each field formatted with ``fmt``."""
+    labels = [int(v) for v in labels]
+    if matrix.ndim != 2 or matrix.shape[1] != len(labels):
+        raise DataError(f"{path}: matrix shape {matrix.shape} != (n, {len(labels)})")
+    write_table(path, ["sample_id", *(f"{prefix}{v}" for v in labels)],
+                [np.arange(matrix.shape[0]), *matrix.T], ["%d"] + [fmt] * len(labels))
+
+
+def read_matrix(path: str, prefix: str):
+    """Read a prediction table; returns (labels, (n, L) float matrix).
+
+    The ``sample_id`` column must hold 0..n-1 in order; the DataError of a
+    bad id names the file and the first data row that breaks it.
+    """
+    labels, (ids, matrix) = read_table(path, ("sample_id",), (int,), prefix=prefix)
+    bad = np.flatnonzero(ids != np.arange(ids.size))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}: data row {i + 1} has sample_id {ids[i]}; expected {i}")
+    return labels, matrix
 
 
 def _repeats(sample: list) -> bool:

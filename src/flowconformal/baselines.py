@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from ._table import FLOAT, read_table, write_table
+from ._table import FLOAT, write_matrix
 from .datasets import sorted_labels
 from .errors import ConfigError, DataError
 from .nn import Adam, Mlp, MlpSpec, hidden_widths
@@ -32,7 +32,6 @@ __all__ = [
     "aps_calibrate",
     "aps_set",
     "save_prob_matrix",
-    "load_prob_matrix",
 ]
 
 _PROB_TOL = 1e-9
@@ -220,15 +219,4 @@ def aps_set(probs: np.ndarray, cal: ApsCalibration) -> np.ndarray:
 # -- CSV round-trip ---------------------------------------------------------------
 
 def save_prob_matrix(path: str, class_labels, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    labels = [int(v) for v in class_labels]
-    if matrix.ndim != 2 or matrix.shape[1] != len(labels):
-        raise DataError(f"probability matrix shape {matrix.shape} != (n, {len(labels)})")
-    write_table(path, ["sample_id", *(f"p_{v}" for v in labels)],
-                [np.arange(matrix.shape[0]), *matrix.T], ["%d"] + [FLOAT] * len(labels))
-
-
-def load_prob_matrix(path: str):
-    """Returns (class_labels, sample_ids, matrix); rows must sum to 1."""
-    labels, (ids, matrix) = read_table(path, ("sample_id",), (int,), prefix="p_")
-    return labels, ids, _check_probs(matrix)
+    write_matrix(path, "p_", class_labels, np.asarray(matrix, dtype=np.float64), FLOAT)

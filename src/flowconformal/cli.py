@@ -37,6 +37,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
+from ._table import write_json
 from .baselines import (
     ClassifierConfig,
     aps_calibrate,
@@ -72,7 +73,6 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError
 from .evaluation import build_report, emit_comparison, emit_histogram, emit_report
-from .nn import to_json
 from .roundtrip import (
     FlowArchitecture,
     TrainConfig,
@@ -404,8 +404,7 @@ def _gen_synthetic(cfg: ExperimentConfig):
     out = syn["outlier"]
     outliers = gen_gaussian_classes(SyntheticSpec(
         means=[out["mean"]], n_per_class=out["n"], seed=cfg.seed + 30_000,
-        covariances=None if out["covariance"] is None else [out["covariance"]],
-        labels=(len(means) + 1,)))
+        covariances=None if out["covariance"] is None else [out["covariance"]]))
     # exported with label 0: these rows are never a training class
     outliers = LabeledDataset(outliers.features, np.zeros(outliers.n, dtype=np.int64))
     return train, calib, test, outliers
@@ -475,12 +474,10 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
             os.remove(stale)
 
     if norm is not None:
-        with open(norm_path, "w") as fh:
-            fh.write(to_json(norm.to_dict()) + "\n")
+        write_json(norm_path, norm.to_dict())
     for (model, trace), (model_path, trace_path) in zip(trained, paths):
         save_class_flow(model, model_path)
-        with open(trace_path, "w") as fh:
-            fh.write(to_json(trace.to_dict()) + "\n")
+        write_json(trace_path, trace.to_dict())
     _finish_stage(cfg, "train", written)
     return written
 
@@ -561,8 +558,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
         set_path = cfg.path("predictions", f"sets_{token}.csv")
         if not (os.path.exists(pv_path) and os.path.exists(set_path)):
             raise DataError(f"predictions missing for rate {rate}; run predict first")
-        labels, _, matrix = load_p_values(pv_path)
-        set_labels, _, sets = load_sets(set_path)
+        labels, matrix = load_p_values(pv_path)
+        set_labels, sets = load_sets(set_path)
         if set_labels != labels:
             raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
         if sets.shape[0] != test.n or matrix.shape[0] != test.n:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import FLOAT, read_table, write_table
+from ._table import FLOAT, read_matrix, read_table, write_matrix, write_table
 from .datasets import sorted_labels
 from .errors import ConfigError, DataError
 from .roundtrip import ClassFlowModel, encode
@@ -163,39 +163,27 @@ def load_pools(path: str) -> list[ScorePool]:
 
 
 def save_p_values(path: str, labels, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    labels = [int(v) for v in labels]
-    if matrix.ndim != 2 or matrix.shape[1] != len(labels):
-        raise DataError(f"p-value matrix shape {matrix.shape} != (n, {len(labels)})")
-    write_table(path, ["sample_id", *(f"pi_{v}" for v in labels)],
-                [np.arange(matrix.shape[0]), *matrix.T], ["%d"] + [FLOAT] * len(labels))
+    write_matrix(path, "pi_", labels, np.asarray(matrix, dtype=np.float64), FLOAT)
 
 
 def load_p_values(path: str):
-    """Returns (labels, sample_ids, matrix)."""
-    labels, (ids, matrix) = read_table(path, ("sample_id",), (int,), prefix="pi_")
-    return labels, ids, matrix
+    """Returns (labels, matrix)."""
+    return read_matrix(path, "pi_")
 
 
 def save_sets(path: str, labels, member: np.ndarray) -> None:
     """One row per membership row: 1 in the ``in_<label>`` column of each
     class of its set, else 0; an all-zero row is an outlier."""
-    member = np.asarray(member, dtype=bool)
-    labels = [int(v) for v in labels]
-    if member.ndim != 2 or member.shape[1] != len(labels):
-        raise DataError(f"membership shape {member.shape} != (n, {len(labels)})")
     # a uint8 view formats about a third faster than the bools themselves
-    write_table(path, ["sample_id", *(f"in_{v}" for v in labels)],
-                [np.arange(member.shape[0]), *member.view(np.uint8).T],
-                ["%d"] * (len(labels) + 1))
+    write_matrix(path, "in_", labels, np.asarray(member, dtype=bool).view(np.uint8), "%d")
 
 
 def load_sets(path: str):
-    """Returns (labels, sample_ids, membership); labels are the header's classes, in order."""
-    labels, (ids, fields) = read_table(path, ("sample_id",), (int,), prefix="in_")
+    """Returns (labels, membership); labels are the header's classes, in order."""
+    labels, fields = read_matrix(path, "in_")
     bad = (fields != 0) & (fields != 1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise DataError(f"{path}: sample {ids[i]} holds {fields[i, j]:g} in column "
+        raise DataError(f"{path}: sample {i} holds {fields[i, j]:g} in column "
                         f"in_{labels[j]}; expected 0 or 1")
-    return labels, ids, fields == 1
+    return labels, fields == 1

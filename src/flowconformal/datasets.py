@@ -102,7 +102,6 @@ class SyntheticSpec:
     n_per_class: int
     seed: int = 0
     covariances: tuple | None = None
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         means = tuple(np.asarray(m, dtype=np.float64).ravel() for m in self.means)
@@ -128,31 +127,21 @@ class SyntheticSpec:
                 except np.linalg.LinAlgError:
                     raise ConfigError(f"covariances[{i}] is not positive definite") from None
             object.__setattr__(self, "covariances", covs)
-        if self.labels is not None:
-            labels = tuple(int(v) for v in self.labels)
-            if len(labels) != len(means) or any(v <= 0 for v in labels):
-                raise ConfigError("labels must be positive, one per class")
-            if len(set(labels)) != len(labels):
-                raise ConfigError(f"duplicate class labels {labels}")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.means[0].shape[0]
 
-    @property
-    def class_labels(self) -> tuple[int, ...]:
-        return self.labels if self.labels is not None else tuple(range(1, len(self.means) + 1))
-
 
 def gen_gaussian_classes(spec: SyntheticSpec) -> LabeledDataset:
-    """Draw spec.n_per_class points per class; classes labeled 1..L by default."""
+    """Draw spec.n_per_class points per class; classes labeled 1..L."""
     rng = np.random.default_rng(spec.seed)
     p = spec.dim
     covs = spec.covariances if spec.covariances is not None else [np.eye(p)] * len(spec.means)
     feats = [rng.multivariate_normal(mean, cov, size=spec.n_per_class)
              for mean, cov in zip(spec.means, covs)]
-    return LabeledDataset(np.vstack(feats), np.repeat(spec.class_labels, spec.n_per_class))
+    labels = np.repeat(np.arange(1, len(spec.means) + 1), spec.n_per_class)
+    return LabeledDataset(np.vstack(feats), labels)
 
 
 @dataclass(frozen=True)
@@ -310,14 +299,6 @@ class Normalizer:
                 f"feature shape {x.shape} incompatible with normalizer dim {self.mean.shape[0]}"
             )
         return (x - self.mean) / self.std
-
-    def invert(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.mean.shape[0]:
-            raise DataError(
-                f"feature shape {x.shape} incompatible with normalizer dim {self.mean.shape[0]}"
-            )
-        return x * self.std + self.mean
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

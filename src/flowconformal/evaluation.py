@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._table import FLOAT, write_table
+from ._table import FLOAT, write_json, write_table
 from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
-from .nn import to_json
 from .special import chi2_cdf
 
 __all__ = [
@@ -232,8 +231,7 @@ def build_report(sets, labels, alpha: float,
 
 
 def emit_report(report: EvalReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(report.to_dict()) + "\n")
+    write_json(path, report.to_dict())
 
 
 def emit_histogram(p_values, path: str, bins: int = 20) -> None:

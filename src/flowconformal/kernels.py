@@ -30,7 +30,6 @@ __all__ = [
     "Mmd2Estimate",
     "median_bandwidth",
     "resolve_bandwidth",
-    "kernel_eval",
     "mmd2_unbiased",
     "mmd2_unbiased_graph",
 ]
@@ -121,18 +120,6 @@ def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray) -> KernelSpec:
     if spec.resolved:
         return spec
     return KernelSpec(median_bandwidth(samples))
-
-
-def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """k(u, v) = exp(-||u - v||^2 / bandwidth^2) for two vectors."""
-    if not spec.resolved:
-        raise ConfigError("kernel bandwidth not resolved; call resolve_bandwidth first")
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise DataError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    sq = float(((u - v) ** 2).sum())
-    return float(np.exp(-sq / (spec.bandwidth ** 2)))
 
 
 def mmd2_unbiased_graph(u, v, spec: KernelSpec) -> Tensor:

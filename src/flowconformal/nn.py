@@ -3,9 +3,11 @@
 Layer widths are declared end to end (input, hidden..., output); each hidden
 layer gets its own activation tag and the output layer gets a final
 activation. Parameters are float64 tensors initialized from a caller-supplied
-numpy Generator, so identical seeds give identical networks. Networks
-round-trip exactly through JSON: floats are written with 17 significant
-digits, which is lossless for float64.
+numpy Generator, so identical seeds give identical networks. A network's
+JSON document (``mlp_to_dict``) holds its floats as Python floats; written
+by ``_table.write_json``, each is the shortest text that reads back to the
+same float64, so a network round-trips exactly (the CSV tables keep
+``%.17g``).
 
 ``Mlp.forward`` records one tape node per call rather than one per matmul,
 bias add and activation. The node runs the dense layers in plain numpy and
@@ -20,8 +22,6 @@ one pass over the concatenated gradients.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +35,8 @@ __all__ = [
     "Mlp",
     "hidden_widths",
     "Adam",
-    "to_json",
     "mlp_to_dict",
     "mlp_from_dict",
-    "params_to_json",
-    "params_from_json",
 ]
 
 ACTIVATIONS = tuple(ACTIVATION_TABLE)
@@ -254,35 +251,7 @@ class Adam:
             p.grad = None
 
 
-# -- lossless JSON persistence -------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite parameter")
-    return format(x, ".17g")
-
-
-def to_json(obj) -> str:
-    """JSON text with floats at 17 significant digits (lossless for float64)."""
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{to_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        if obj and all(type(v) is float for v in obj):  # e.g. a row of ndarray.tolist()
-            return "[" + ",".join(map(_fmt_float, obj)) + "]"
-        return "[" + ",".join(to_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
+# -- JSON documents ---------------------------------------------------------------
 
 def mlp_to_dict(mlp: Mlp) -> dict:
     return {
@@ -311,12 +280,3 @@ def mlp_from_dict(doc: dict) -> Mlp:
                np.asarray(layer["b"], dtype=np.float64))
               for layer in doc["layers"]]
     return Mlp(spec, layers=layers)
-
-
-def params_to_json(mlp: Mlp) -> str:
-    """Serialize spec + parameters; floats keep 17 significant digits (lossless)."""
-    return to_json(mlp_to_dict(mlp))
-
-
-def params_from_json(text: str) -> Mlp:
-    return mlp_from_dict(json.loads(text))

@@ -29,6 +29,11 @@ Class models never read each other and each is seeded from its label, so
 ``train_class_flows`` trains each class in its own process, this process
 included, up to four processes per usable CPU, and returns the same models
 as training them in turn.
+
+``save_class_flow`` writes a model as one JSON document through
+``_table.write_json``: each float is the shortest text that reads back to
+the same float64 (the CSV tables keep ``%.17g``), so ``load_class_flow``
+returns bit-identical networks.
 """
 
 from __future__ import annotations
@@ -39,11 +44,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._table import write_json
 from .autodiff import Tensor
 from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, mmd2_unbiased_graph, resolve_bandwidth
-from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict, to_json
+from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict
 
 __all__ = [
     "FlowArchitecture",
@@ -58,7 +64,6 @@ __all__ = [
     "train_class_flow",
     "train_class_flows",
     "encode",
-    "generate",
     "sample_latent",
     "save_class_flow",
     "load_class_flow",
@@ -203,16 +208,6 @@ def encode(model: ClassFlowModel, x: np.ndarray) -> np.ndarray:
             f"input shape {x.shape} incompatible with model input dim {model.input_dim}"
         )
     return model.inverse.predict(x)
-
-
-def generate(model: ClassFlowModel, z: np.ndarray) -> np.ndarray:
-    """Input-space rows generated from latent rows."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != model.latent_dim:
-        raise DataError(
-            f"latent shape {z.shape} incompatible with model latent dim {model.latent_dim}"
-        )
-    return model.generator.predict(z)
 
 
 # -- loss terms -----------------------------------------------------------------
@@ -566,8 +561,7 @@ def save_class_flow(model: ClassFlowModel, path: str) -> None:
         "discriminator": mlp_to_dict(model.discriminator),
         "head": mlp_to_dict(model.head),
     }
-    with open(path, "w") as fh:
-        fh.write(to_json(doc) + "\n")
+    write_json(path, doc)
 
 
 def load_class_flow(path: str) -> ClassFlowModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["regularized_lower_gamma", "chi2_cdf", "normal_cdf"]
+__all__ = ["regularized_lower_gamma", "chi2_cdf"]
 
 _EPS = 1e-16
 _FPMIN = 1e-300
@@ -76,7 +76,3 @@ def chi2_cdf(t: float, d: int) -> float:
         return 0.0
     return regularized_lower_gamma(d / 2.0, t / 2.0)
 
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))

@@ -22,11 +22,11 @@ from flowconformal.baselines import (
     ClassifierConfig,
     aps_calibrate,
     aps_set,
-    load_prob_matrix,
     save_prob_matrix,
     scaling_set,
     train_softmax_classifier,
 )
+from flowconformal._table import read_matrix
 from flowconformal.errors import ConfigError, DataError
 from loss_oracle import tape_cross_entropy
 
@@ -322,22 +322,19 @@ def test_prob_matrix_roundtrip_exact(tmp_path):
     mat = np.array([[0.25, 0.75], [1.0 / 3.0, 2.0 / 3.0]])
     path = str(tmp_path / "probs.csv")
     save_prob_matrix(path, (1, 2), mat)
-    labels, ids, back = load_prob_matrix(path)
+    labels, back = read_matrix(path, "p_")
     assert labels == (1, 2)
-    assert np.array_equal(ids, [0, 1])
     assert np.array_equal(back, mat)
 
 
-def test_prob_matrix_header_and_sum_validation(tmp_path):
+def test_prob_matrix_header_and_shape_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,p_1\n0,1.0\n")
     with pytest.raises(DataError, match="header"):
-        load_prob_matrix(str(bad))
+        read_matrix(str(bad), "p_")
     bad.write_text("sample_id,q_1\n0,1.0\n")
     with pytest.raises(DataError, match="column"):
-        load_prob_matrix(str(bad))
-    bad.write_text("sample_id,p_1,p_2\n0,0.9,0.3\n")
-    with pytest.raises(DataError, match="sums to"):
-        load_prob_matrix(str(bad))
-    with pytest.raises(DataError, match="shape"):
-        save_prob_matrix(str(bad), (1, 2), np.zeros((2, 3)))
+        read_matrix(str(bad), "p_")
+    for matrix in (np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(DataError, match=r"bad.csv: matrix shape \(2,( 3)?\) != \(n, 2\)"):
+            save_prob_matrix(str(bad), (1, 2), matrix)

@@ -558,19 +558,19 @@ GOLDEN_RUN_DIGESTS = {
     "manifest.json":
         "cc45ebd1785e052941cc33437bba47df4a87c989a67090ee9176a61ec25db9f4",
     "models/class_1.json":
-        "53be2b04fc62416d69c47d1c3568e25c4558af084f715e79b9bae2e0c2b5f244",
+        "1a8bcfc3d042b634ad39a495f412a99a22cc6c43b1fd0edbe5f0d9902c7130ce",
     "models/class_2.json":
-        "2db03a62534003d18b6a6d47c4ead17b1aabd88387cfe4221dd891356efd1498",
+        "19ed08b58648fe5da53fe19b4aaabd68240ee69f2b04e1f740c0765ef2f010ad",
     "models/class_3.json":
-        "d115d24f75c3e73f9e83cee5185ba80d595807405239d8718e9a4bddd9f5a2bb",
+        "330766cc22c0b48f3c1354610b248981d9082546b1ca333de10061017a150a5d",
     "models/normalizer.json":
-        "bc1aa4d8ecdf45f0c1a70d02c5ce95a972a3b2de6051ca49686660ea1dba10ea",
+        "f6a5808d14ffb3f05cfda66a55c4858d7f556e3a1e17ec70fc6667d26eca3654",
     "models/trace_class_1.json":
-        "982d93a4b5d99ba31f56b45d7c98862f2881b0b0e3d266d1a572f80f30fc6827",
+        "04f28182a51f876b4b7ac5a04b7becca86425149a7ad94e424d105c6afbc1d22",
     "models/trace_class_2.json":
-        "1d89f551fa2aec59586aa0e2a6dc6ffb050ccabb5122ccaebc6d93b8745c3fa4",
+        "fd8ac2fec75c03b00ebe83d557674f48aa8bd610b07d85767ebded75676d42eb",
     "models/trace_class_3.json":
-        "f9d9c441b10881116194621628065cbcaec852bd21ea77da5ab3724b9ed06a36",
+        "9f9454c7a9433b58bcaf4f3f32376a3a45125729bc84fc2d7c628964f2335637",
     "pools/pools.csv":
         "e0faa2fd4ff3ff0bbce5d0ab4f595a5097a9fa186d892f932556538a01b59b9c",
     "predictions/probs_c0.csv":
@@ -600,17 +600,17 @@ GOLDEN_RUN_DIGESTS = {
     "reports/hist_c10_class3.csv":
         "16d60c231db9037d7ba180c8e43883638ab4105de0be96059b37fbe0f0c48d49",
     "reports/report_aps_c0.json":
-        "5a66001d4da7fbd38362f115c6acddd209eb17646a5f2d0a2d0fee8ff1832f1f",
+        "8ca727eec799490f1b98bc0eed2fd4a0b1f965e3601268f450ebf02b20844843",
     "reports/report_aps_c10.json":
-        "92da118fadcd5267d4ff74f8b3dc043232a91ea07d90b9da2a6a4af84be5826c",
+        "f266bbe898948a1c4c046ac85f7e33443ed1f6224432c81ead79f40c0b6185f3",
     "reports/report_flow_c0.json":
-        "39f8da61fdddc5f8790d71394aa66554193f8eb2e8afc95909d6b7154921e0fc",
+        "dcf626cb15620b5555f119b7b399f4b408cffc09831b71a7c405407a25de4a58",
     "reports/report_flow_c10.json":
-        "400f7ac93e84e7c3c1cea28b8c6657d3664291eb5edfce69f38043dcbcbec557",
+        "b077c9709e5c78317f04330bd10b07556f2eb08e704078a804eaf2478750ef54",
     "reports/report_scaling_c0.json":
-        "5a66001d4da7fbd38362f115c6acddd209eb17646a5f2d0a2d0fee8ff1832f1f",
+        "8ca727eec799490f1b98bc0eed2fd4a0b1f965e3601268f450ebf02b20844843",
     "reports/report_scaling_c10.json":
-        "e6b0a1375b75efa615cec868789cf2a4a56a95bc7bda012ead0de86c45f8897e",
+        "46345a0e12f1af59c2ecf363d9b6170ea29674fef2f3fcf9be2bfc0128987f85",
 }
 
 
@@ -711,16 +711,16 @@ def test_predict_rerun_is_byte_identical(pipeline):
 def test_sets_re_derivable_from_p_values(pipeline):
     _, out = pipeline
     for token in ("c0", "c10"):
-        labels, _, matrix = load_p_values(
+        labels, matrix = load_p_values(
             str(out / "predictions" / f"pvalues_{token}.csv"))
-        named, _, member = load_sets(str(out / "predictions" / f"sets_{token}.csv"))
+        named, member = load_sets(str(out / "predictions" / f"sets_{token}.csv"))
         assert named == labels
         assert np.array_equal(member, matrix >= ALPHA)
 
 
 def test_outlier_token_written_iff_every_p_below_alpha(pipeline):
     _, out = pipeline
-    labels, _, matrix = load_p_values(str(out / "predictions" / "pvalues_c10.csv"))
+    labels, matrix = load_p_values(str(out / "predictions" / "pvalues_c10.csv"))
     raw = (out / "predictions" / "sets_c10.csv").read_text().splitlines()[1:]
     tokens = [line.split(",", 1)[1] for line in raw]
     assert len(tokens) == len(matrix)
@@ -890,6 +890,27 @@ def test_evaluate_exits_two_when_set_classes_differ_from_the_p_values(pipeline, 
         code = main(["evaluate", "--config", cfg_path, "--out", str(copy), "--baselines", "off"])
     assert code == 2
     assert f"{path} has classes" in err.getvalue() and "has (1, 2)" in err.getvalue()
+
+
+@pytest.mark.parametrize("table", ["pvalues", "sets"])
+@pytest.mark.parametrize("ids", ["all_seven", "swapped", "repeated"])
+def test_evaluate_exits_two_on_a_bad_sample_id(pipeline, tmp_path, table, ids):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "predictions" / f"{table}_c0.csv"
+    header, *rows = path.read_text().splitlines()
+    first = {"all_seven": 0, "swapped": 1, "repeated": 2}[ids]
+    bad = {"all_seven": [7] * len(rows), "swapped": [0, 2, 1], "repeated": [0, 1, 1]}[ids]
+    for i, sample_id in enumerate(bad):
+        rows[i] = f"{sample_id},{rows[i].split(',', 1)[1]}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", cfg_path, "--out", str(copy), "--baselines", "off"])
+    assert code == 2
+    assert err.getvalue() == (f"error: {path}: data row {first + 1} has sample_id "
+                              f"{bad[first]}; expected {first}\n")
 
 
 def test_evaluate_with_the_tape_cross_entropy_writes_the_same_bytes(pipeline, tmp_path,

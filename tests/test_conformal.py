@@ -31,7 +31,6 @@ from flowconformal.errors import ConfigError, DataError
 from flowconformal.evaluation import chi2_moment_check
 from flowconformal.nn import Mlp, MlpSpec
 from flowconformal.roundtrip import ClassFlowModel
-from flowconformal.special import normal_cdf
 
 
 def make_affine_model(weight, bias, label=1):
@@ -235,6 +234,7 @@ def test_conformal_p_ranks_match_two_sided_normal_tail():
     # one class N(mu, sigma^2) with the exact standardizing encoder; conformal
     # p-values must rank-agree with the analytic rule 2 min(Phi(u), 1 - Phi(u))
     scipy_stats = pytest.importorskip("scipy.stats")
+    normal_cdf = scipy_stats.norm.cdf
     mu, sigma = 2.0, 1.5
     model = make_affine_model(np.array([[1.0 / sigma]]), np.array([-mu / sigma]))
     rng = np.random.default_rng(23)
@@ -387,9 +387,8 @@ def test_p_value_csv_roundtrip_exact(tmp_path):
     mat = np.array([[1.0 / 3.0, 0.2], [0.05, 1.0]])
     path = str(tmp_path / "pv.csv")
     save_p_values(path, (1, 2), mat)
-    labels, ids, back = load_p_values(path)
+    labels, back = load_p_values(path)
     assert labels == (1, 2)
-    assert np.array_equal(ids, [0, 1])
     assert np.array_equal(back, mat)
 
 
@@ -399,9 +398,8 @@ def test_set_csv_roundtrip_with_outlier_token(tmp_path):
     save_sets(path, (1, 2, 3), member)
     raw = (tmp_path / "sets.csv").read_text().splitlines()
     assert raw == ["sample_id,in_1,in_2,in_3", "0,1,0,1", "1,0,0,0", "2,0,1,0"]
-    labels, ids, back = load_sets(path)
+    labels, back = load_sets(path)
     assert labels == (1, 2, 3)
-    assert np.array_equal(ids, [0, 1, 2])
     assert np.array_equal(back, member)
 
 
@@ -411,6 +409,6 @@ def test_set_csv_labels_are_the_classes_named(tmp_path):
     path = str(tmp_path / "sets.csv")
     member = np.array([[False, False, True], [False, False, False]])
     save_sets(path, (9, 4, 7), member)
-    labels, _, back = load_sets(path)
+    labels, back = load_sets(path)
     assert labels == (9, 4, 7)
     assert np.array_equal(back, member)

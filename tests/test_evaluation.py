@@ -234,8 +234,12 @@ def test_emit_report_writes_expected_json(tmp_path):
     rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2, 3), p_matrix=pmat)
     path = tmp_path / "report.json"
     emit_report(rep, str(path))
-    doc = json.loads(path.read_text())
-    assert doc == rep.to_dict()
+    text = path.read_text()
+    assert json.loads(text) == rep.to_dict()
+    # one compact line; each float is its shortest round-trip text, its repr
+    assert text.count("\n") == 1 and ", " not in text and ": " not in text
+    assert f'"coverage":{rep.coverage!r},' in text
+    assert f'"size_error_paper":{rep.size_error_paper!r},' in text
 
 
 def test_histogram_counts_sum_to_sample_size(tmp_path):

@@ -12,7 +12,6 @@ from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
     _sq_dists,
-    kernel_eval,
     median_bandwidth,
     mmd2_unbiased,
     mmd2_unbiased_graph,
@@ -66,25 +65,10 @@ def fused_and_tape(u, v, bw):
     return out
 
 
-def test_kernel_hand_values():
-    spec = KernelSpec(bandwidth=1.0)
-    assert kernel_eval(spec, np.array([0.0]), np.array([0.0])) == 1.0
-    assert kernel_eval(spec, np.array([0.0]), np.array([1.0])) == pytest.approx(
-        math.exp(-1.0), rel=1e-15)
-
-
-def test_kernel_symmetry_random_pairs():
-    rng = np.random.default_rng(4)
-    spec = KernelSpec(bandwidth=0.7)
-    for _ in range(20):
-        u, v = rng.normal(size=3), rng.normal(size=3)
-        assert kernel_eval(spec, u, v) == kernel_eval(spec, v, u)
-
-
 def test_kernel_dimension_mismatch():
     spec = KernelSpec(bandwidth=1.0)
-    with pytest.raises(DataError, match="dimension"):
-        kernel_eval(spec, np.zeros(2), np.zeros(3))
+    with pytest.raises(DataError, match="dimensions differ: 2 vs 3"):
+        mmd2_unbiased(np.zeros((4, 2)), np.zeros((4, 3)), spec)
 
 
 def test_kernel_spec_validation():

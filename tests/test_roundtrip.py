@@ -31,7 +31,6 @@ from flowconformal.roundtrip import (
     TrainConfig,
     build_class_flow,
     encode,
-    generate,
     load_class_flow,
     loss_cycle,
     loss_forward_gan,
@@ -231,16 +230,13 @@ def test_class_flow_model_shape_checks():
         ClassFlowModel(1, gen, inv, disc, sigmoid_net(3, np.zeros(3), 0.0))
 
 
-def test_encode_generate_shape_errors():
+def test_encode_shape_errors():
     model = fixed_model(affine(1, 2, [[1.0, 0.0]], [0.0, 0.0]),
                         affine(2, 1, [[1.0], [0.0]], [0.0]))
     assert model.input_dim == 2 and model.latent_dim == 1
     with pytest.raises(DataError, match="input shape"):
         encode(model, np.zeros((3, 3)))
-    with pytest.raises(DataError, match="latent shape"):
-        generate(model, np.zeros((3, 2)))
-    out = generate(model, np.array([[2.0]]))
-    assert np.array_equal(out, [[2.0, 0.0]])
+    assert np.array_equal(encode(model, np.array([[2.0, 5.0]])), [[2.0]])
 
 
 def test_sample_latent_shape_and_determinism():
@@ -648,7 +644,7 @@ def test_model_json_roundtrip_exact(tmp_path):
     assert back.train_config == cfg.to_dict()
     probe = np.linspace(-3, 5, 17).reshape(-1, 1)
     assert np.array_equal(encode(back, probe), encode(model, probe))
-    assert np.array_equal(generate(back, probe), generate(model, probe))
+    assert np.array_equal(back.generator.predict(probe), model.generator.predict(probe))
 
 
 def test_model_load_rejects_unknown_version(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowconformal.special import chi2_cdf, normal_cdf, regularized_lower_gamma
+from flowconformal.special import chi2_cdf, regularized_lower_gamma
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -61,8 +61,3 @@ def test_boundaries_and_validation():
     with pytest.raises(ValueError):
         regularized_lower_gamma(1.0, -0.5)
 
-
-def test_normal_cdf_values():
-    assert normal_cdf(0.0) == pytest.approx(0.5)
-    assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-    assert normal_cdf(-8.0) < 1e-14

@@ -1,11 +1,15 @@
-"""The CSV table codec behind every artifact file.
+"""The CSV table codec behind every artifact table, and the JSON writer.
 
 Oracles: literal expected text for each of the seven table kinds written from
 fixed hand-made inputs (no trained weights or BLAS involved), exact
-write/read round trips, path:line errors from every loader, and the codec the
-block reader and the memoising writer replaced (``table_oracle``).
+write/read round trips, path:line errors from every loader, the codec the
+block reader and the memoising writer replaced (``table_oracle``), and
+``json.load`` for ``write_json``.
 """
 
+import functools
+import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -17,8 +21,8 @@ from hypothesis.extra.numpy import arrays
 
 import table_oracle
 from flowconformal import _table
-from flowconformal._table import FLOAT, read_table, write_table
-from flowconformal.baselines import load_prob_matrix, save_prob_matrix
+from flowconformal._table import FLOAT, read_matrix, read_table, write_json, write_table
+from flowconformal.baselines import save_prob_matrix
 from flowconformal.conformal import (
     ScorePool,
     load_p_values,
@@ -33,6 +37,7 @@ from flowconformal.errors import DataError
 from flowconformal.evaluation import EvalReport, emit_comparison, emit_histogram
 
 COMPARISON = ("method", "rate", "coverage", "size_error_paper", "size_error_excess")
+load_probs = functools.partial(read_matrix, prefix="p_")
 
 
 # -- byte-exact writers ------------------------------------------------------------
@@ -72,7 +77,7 @@ def test_sets_text_of_a_column_major_membership(tmp_path):
     save_sets(str(tmp_path / "f.csv"), range(1, 10), member)
     save_sets(str(tmp_path / "c.csv"), range(1, 10), np.ascontiguousarray(member))
     assert (tmp_path / "f.csv").read_text() == (tmp_path / "c.csv").read_text()
-    assert load_sets(str(tmp_path / "f.csv"))[2].tolist() == member.tolist()
+    assert load_sets(str(tmp_path / "f.csv"))[1].tolist() == member.tolist()
 
 
 def test_probabilities_text(tmp_path):
@@ -106,16 +111,16 @@ def test_tables_longer_than_one_write_chunk(tmp_path):
     matrix = np.random.default_rng(4).random((1000, 2))
     save_p_values(str(path), (1, 2), matrix)
     assert len(path.read_text().splitlines()) == 1001
-    _, ids, back = load_p_values(str(path))
-    assert np.array_equal(ids, np.arange(1000)) and np.array_equal(back, matrix)
+    _, back = load_p_values(str(path))
+    assert np.array_equal(back, matrix)
 
 
 def test_header_only_tables(tmp_path):
     path = tmp_path / "e.csv"
     save_p_values(str(path), (1, 2), np.zeros((0, 2)))
     assert path.read_text() == "sample_id,pi_1,pi_2\n"
-    labels, ids, matrix = load_p_values(str(path))
-    assert labels == (1, 2) and ids.shape == (0,) and matrix.shape == (0, 2)
+    labels, matrix = load_p_values(str(path))
+    assert labels == (1, 2) and matrix.shape == (0, 2)
 
 
 # -- loader errors --------------------------------------------------------------------
@@ -125,7 +130,7 @@ LOADERS = {
     "pools": (load_pools, "class,score", "1,0.5"),
     "p_values": (load_p_values, "sample_id,pi_1", "0,0.5"),
     "sets": (load_sets, "sample_id,in_1", "0,1"),
-    "probabilities": (load_prob_matrix, "sample_id,p_1", "0,1.0"),
+    "probabilities": (load_probs, "sample_id,p_1", "0,1.0"),
 }
 # the first field of every table is an int, the second a float
 BAD_ROWS = {
@@ -189,7 +194,7 @@ def test_sets_reject_malformed_tokens(tmp_path, token):
 
 @pytest.mark.parametrize("load, header, row", [
     (load_p_values, "sample_id,pi_2,pi_1,pi_2", "0,0.5,0.5,0.5"),
-    (load_prob_matrix, "sample_id,p_2,p_02", "0,0.5,0.5"),
+    (load_probs, "sample_id,p_2,p_02", "0,0.5,0.5"),
     (load_sets, "sample_id,in_1,in_2,in_2", "0,1,0,1"),
 ], ids=["p_values", "probabilities", "sets"])
 def test_loaders_reject_a_repeated_column(tmp_path, load, header, row):
@@ -197,6 +202,23 @@ def test_loaders_reject_a_repeated_column(tmp_path, load, header, row):
     path.write_text(f"{header}\n{row}\n")
     repeated = header.split(",")[-1]
     with pytest.raises(DataError, match=f"t.csv: repeated column '{repeated}' in header"):
+        load(str(path))
+
+
+@pytest.mark.parametrize("ids, row", [("1,0", 1), ("0,1,1", 3), ("0,2,1", 2), ("-1", 1)])
+@pytest.mark.parametrize("load, header, fields", [
+    (load_p_values, "sample_id,pi_1,pi_2", "0.5,0.25"),
+    (load_probs, "sample_id,p_1,p_2", "0.5,0.5"),
+    (load_sets, "sample_id,in_1,in_2", "1,0"),
+], ids=["p_values", "probabilities", "sets"])
+def test_prediction_loaders_name_the_first_bad_sample_id(tmp_path, load, header, fields,
+                                                         ids, row):
+    # a prediction table's ids are its row numbers 0..n-1, in order
+    ids = [int(v) for v in ids.split(",")]
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n" + "".join(f"{i},{fields}\n" for i in ids))
+    with pytest.raises(DataError, match=f"t.csv: data row {row} has sample_id "
+                                        f"{ids[row - 1]}; expected {row - 1}$"):
         load(str(path))
 
 
@@ -234,9 +256,8 @@ def test_p_values_round_trip(tmp_path_factory, matrix, data):
                                       max_size=matrix.shape[1], unique=True)))
     path = str(tmp_path_factory.mktemp("rt") / "pv.csv")
     save_p_values(path, labels, matrix)
-    back_labels, ids, back = load_p_values(path)
+    back_labels, back = load_p_values(path)
     assert back_labels == labels
-    assert np.array_equal(ids, np.arange(matrix.shape[0]))
     assert back.tobytes() == matrix.tobytes()
 
 
@@ -246,11 +267,52 @@ def test_sets_round_trip(tmp_path_factory, member, data):
                                 max_size=member.shape[1], unique=True))
     path = str(tmp_path_factory.mktemp("rt") / "s.csv")
     save_sets(path, labels, member)
-    named, ids, back = load_sets(path)
+    named, back = load_sets(path)
     # every class comes back in header order, all-zero columns included
     assert named == tuple(labels)
-    assert np.array_equal(ids, np.arange(member.shape[0]))
     assert back.dtype == bool and np.array_equal(back, member)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, -1.0, 1e21]
+JSON_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False,
+                                                               allow_infinity=False))
+JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(), JSON_FLOATS),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+    max_leaves=30)
+
+
+def _same_json(got, want):
+    """Whether ``got`` equals ``want`` value for value, every float bit for
+    bit (so ``-0.0`` stays apart from ``0.0``), and every type kept."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_json, got, want))
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(_same_json(got[k], want[k]) for k in want)
+    return got == want
+
+
+@given(JSON_DOCS)
+def test_write_json_round_trips_every_float_bit_for_bit(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("rt") / "doc.json"
+    write_json(str(path), doc)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    with open(path) as fh:
+        assert _same_json(json.load(fh), doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_floats(tmp_path, bad):
+    for doc in (bad, [1.0, bad], {"a": {"b": [bad]}}):
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "doc.json"), doc)
 
 
 @given(arrays(np.float64, shapes, elements=st.floats(0.01, 10.0)))
@@ -258,7 +320,7 @@ def test_probabilities_round_trip(tmp_path_factory, raw):
     probs = raw / raw.sum(axis=1, keepdims=True)
     path = str(tmp_path_factory.mktemp("rt") / "pr.csv")
     save_prob_matrix(path, range(1, probs.shape[1] + 1), probs)
-    labels, _, back = load_prob_matrix(path)
+    labels, back = load_probs(path)
     assert labels == tuple(range(1, probs.shape[1] + 1))
     assert back.tobytes() == probs.tobytes()
 
