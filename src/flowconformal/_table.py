@@ -11,7 +11,9 @@ column holding 0..n-1 in order, then one ``<prefix><label>`` column per
 class of an (n, L) matrix.
 
 JSON artifacts (models, normalizer, traces, reports) are written by
-``write_json`` in the standard library's compact form. A float is written as
+``write_json`` in the standard library's compact form; ``read_json`` reads
+the ones a later stage loads (models, normalizer) and names the file when
+one is not an object with the expected keys. A float is written as
 its ``repr``, the shortest text that reads back to the same float64, so JSON
 floats round-trip exactly too. That text is not ``%.17g``'s: ``0.9413333333333334``
 where a table holds ``0.94133333333333336``, and ``1.0`` keeps its ``.0``.
@@ -82,6 +84,22 @@ def write_json(path: str, doc) -> None:
     """Write ``doc`` as one line of compact JSON; a NaN or infinity raises ValueError."""
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def read_json(path: str, keys) -> dict:
+    """The JSON object in ``path``, which must hold every key of ``keys``;
+    anything else raises a DataError naming the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise DataError(f"{path}: missing key {missing[0]!r}")
+    return doc
 
 
 def write_matrix(path: str, prefix: str, labels, matrix: np.ndarray, fmt: str) -> None:

@@ -37,7 +37,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from ._table import write_json
+from ._table import read_json, write_json
 from .baselines import (
     ClassifierConfig,
     aps_calibrate,
@@ -440,8 +440,11 @@ def _load_normalizer(cfg: ExperimentConfig) -> Normalizer | None:
     path = cfg.path("models", "normalizer.json")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        return Normalizer.from_dict(json.load(fh))
+    doc = read_json(path, ("mean", "std"))
+    try:
+        return Normalizer.from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _apply_norm(norm: Normalizer | None, features: np.ndarray) -> np.ndarray:

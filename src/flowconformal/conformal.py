@@ -26,7 +26,7 @@ import numpy as np
 from ._table import FLOAT, read_matrix, read_table, write_matrix, write_table
 from .datasets import sorted_labels
 from .errors import ConfigError, DataError
-from .roundtrip import ClassFlowModel, encode
+from .roundtrip import ClassFlowModel, SavedClassFlow, encode
 
 __all__ = [
     "P_VALUE_MODES",
@@ -62,7 +62,7 @@ class ConformalConfig:
             )
 
 
-def nonconformity_scores(model: ClassFlowModel, x: np.ndarray) -> np.ndarray:
+def nonconformity_scores(model: ClassFlowModel | SavedClassFlow, x: np.ndarray) -> np.ndarray:
     """Squared norms of the latent encodings of the rows of ``x``."""
     z = encode(model, x)
     return (z * z).sum(axis=1)
@@ -92,7 +92,7 @@ class ScorePool:
         return int(self.scores.size)
 
 
-def build_score_pool(model: ClassFlowModel, x_rows: np.ndarray) -> ScorePool:
+def build_score_pool(model: ClassFlowModel | SavedClassFlow, x_rows: np.ndarray) -> ScorePool:
     """Pool of scores of a class's own training rows under its model."""
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[0] == 0:

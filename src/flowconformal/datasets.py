@@ -305,10 +305,19 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        return cls(
-            np.asarray(doc["mean"], dtype=np.float64),
-            np.asarray(doc["std"], dtype=np.float64),
-        )
+        """Raises DataError unless ``mean`` and ``std`` are equal-length lists
+        of finite numbers with every ``std`` positive."""
+        try:
+            mean = np.asarray(doc["mean"], dtype=np.float64)
+            std = np.asarray(doc["std"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"mean and std must be lists of numbers: {exc}") from None
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise DataError(f"mean and std must be lists of equal length, got shapes "
+                            f"{mean.shape} and {std.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise DataError("mean must be finite and std finite and positive")
+        return cls(mean, std)
 
 
 def fit_normalizer(features: np.ndarray) -> Normalizer:

@@ -4,10 +4,11 @@ Layer widths are declared end to end (input, hidden..., output); each hidden
 layer gets its own activation tag and the output layer gets a final
 activation. Parameters are float64 tensors initialized from a caller-supplied
 numpy Generator, so identical seeds give identical networks. A network's
-JSON document (``mlp_to_dict``) holds its floats as Python floats; written
-by ``_table.write_json``, each is the shortest text that reads back to the
-same float64, so a network round-trips exactly (the CSV tables keep
-``%.17g``).
+JSON document (``mlp_to_dict``) holds its spec and its floats as Python
+floats; written by ``_table.write_json``, each is the shortest text that
+reads back to the same float64, so a network round-trips exactly (the CSV
+tables keep ``%.17g``). The document has no version of its own: a class
+model file holds one, its inverse map, under the file's version.
 
 ``Mlp.forward`` records one tape node per call rather than one per matmul,
 bias add and activation. The node runs the dense layers in plain numpy and
@@ -40,8 +41,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = tuple(ACTIVATION_TABLE)
-
-_FORMAT_VERSION = 1
 
 # Adam's moment decay rates and the offset of its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -255,7 +254,6 @@ class Adam:
 
 def mlp_to_dict(mlp: Mlp) -> dict:
     return {
-        "version": _FORMAT_VERSION,
         "spec": {
             "layer_widths": list(mlp.spec.layer_widths),
             "activations": list(mlp.spec.activations),
@@ -268,8 +266,6 @@ def mlp_to_dict(mlp: Mlp) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
-    if doc.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported parameter format version {doc.get('version')!r}")
     spec_doc = doc["spec"]
     spec = MlpSpec(
         tuple(spec_doc["layer_widths"]),
@@ -279,4 +275,6 @@ def mlp_from_dict(doc: dict) -> Mlp:
     layers = [(np.asarray(layer["W"], dtype=np.float64),
                np.asarray(layer["b"], dtype=np.float64))
               for layer in doc["layers"]]
+    if not all(np.isfinite(a).all() for layer in layers for a in layer):
+        raise ValueError("network weights must be finite")
     return Mlp(spec, layers=layers)

@@ -30,21 +30,21 @@ Class models never read each other and each is seeded from its label, so
 included, up to four processes per usable CPU, and returns the same models
 as training them in turn.
 
-``save_class_flow`` writes a model as one JSON document through
+``save_class_flow`` writes a class's label, training config and inverse map,
+the one network a score needs, as one JSON document through
 ``_table.write_json``: each float is the shortest text that reads back to
 the same float64 (the CSV tables keep ``%.17g``), so ``load_class_flow``
-returns bit-identical networks.
+returns a bit-identical inverse map.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._table import write_json
+from ._table import read_json, write_json
 from .autodiff import Tensor
 from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
@@ -56,6 +56,7 @@ __all__ = [
     "TrainConfig",
     "TrainTrace",
     "ClassFlowModel",
+    "SavedClassFlow",
     "build_class_flow",
     "loss_forward_gan",
     "loss_latent_mmd",
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 _PROB_FLOOR = 1e-7
-_MODEL_FORMAT_VERSION = 1
+_MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class TrainTrace:
 
 @dataclass
 class ClassFlowModel:
-    """Trained (or loaded) per-class model bundle."""
+    """The four networks of a trained class model (its file keeps only I)."""
 
     class_label: int
     generator: Mlp
@@ -182,6 +183,19 @@ class ClassFlowModel:
         return self.inverse.spec.input_dim
 
 
+@dataclass(frozen=True)
+class SavedClassFlow:
+    """A class model as its file holds it: the inverse map that scoring runs."""
+
+    class_label: int
+    inverse: Mlp
+    train_config: dict | None
+
+    @property
+    def input_dim(self) -> int:
+        return self.inverse.spec.input_dim
+
+
 def build_class_flow(arch: FlowArchitecture, class_label: int,
                      rng: np.random.Generator) -> ClassFlowModel:
     """Freshly initialized model for one class."""
@@ -200,7 +214,7 @@ def sample_latent(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return rng.standard_normal((n, dim))
 
 
-def encode(model: ClassFlowModel, x: np.ndarray) -> np.ndarray:
+def encode(model: ClassFlowModel | SavedClassFlow, x: np.ndarray) -> np.ndarray:
     """Latent encodings of input rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -342,11 +356,6 @@ def loss_pred_finetune(model: ClassFlowModel, pos_batch: np.ndarray,
                           model.head(model.inverse(Tensor(neg_batch))))
 
 
-def _zero(*nets: Mlp) -> None:
-    for net in nets:
-        net.zero_grad()
-
-
 def _check_finite(value: float, term: str, epoch: int, step: int) -> float:
     if not np.isfinite(value):
         raise FloatingPointError(
@@ -436,7 +445,9 @@ def train_class_flow(
             sums["cycle"] += _check_finite(float(cycle_term.data), "cycle", epoch, step)
             _weighted_sum(terms).backward()
             opt_main.step()
-            _zero(disc, head)
+            # the generator loss leaves gradients in D, and the next
+            # discriminator step would add to them
+            disc.zero_grad()
 
             if use_pred:
                 with_replacement = x_neg.shape[0] < batch
@@ -445,7 +456,6 @@ def train_class_flow(
                 sums["pred"] += _check_finite(float(pred_term.data), "fine-tune", epoch, step)
                 _weighted_sum([(pred_term, config.w_pred)]).backward()
                 opt_pred.step()
-                _zero(gen, disc)
 
         trace.disc.append(sums["disc"] / steps)
         trace.gan.append(sums["gan"] / steps)
@@ -550,33 +560,23 @@ def train_class_flows(
 # -- persistence -------------------------------------------------------------------
 
 def save_class_flow(model: ClassFlowModel, path: str) -> None:
-    doc = {
-        "version": _MODEL_FORMAT_VERSION,
-        "class_label": model.class_label,
-        "input_dim": model.input_dim,
-        "latent_dim": model.latent_dim,
-        "train_config": model.train_config,
-        "generator": mlp_to_dict(model.generator),
-        "inverse": mlp_to_dict(model.inverse),
-        "discriminator": mlp_to_dict(model.discriminator),
-        "head": mlp_to_dict(model.head),
-    }
-    write_json(path, doc)
+    write_json(path, {"version": _MODEL_FORMAT_VERSION, "class_label": model.class_label,
+                      "train_config": model.train_config, "inverse": mlp_to_dict(model.inverse)})
 
 
-def load_class_flow(path: str) -> ClassFlowModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != _MODEL_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model format version {doc.get('version')!r}")
-    model = ClassFlowModel(
-        int(doc["class_label"]),
-        mlp_from_dict(doc["generator"]),
-        mlp_from_dict(doc["inverse"]),
-        mlp_from_dict(doc["discriminator"]),
-        mlp_from_dict(doc["head"]),
-        doc.get("train_config"),
-    )
-    if (model.input_dim, model.latent_dim) != (int(doc["input_dim"]), int(doc["latent_dim"])):
-        raise DataError(f"{path}: declared dimensions disagree with stored networks")
-    return model
+def load_class_flow(path: str) -> SavedClassFlow:
+    """The class model in ``path``; a malformed file raises a DataError naming it."""
+    doc = read_json(path, ("version", "class_label", "train_config", "inverse"))
+    if doc["version"] != _MODEL_FORMAT_VERSION:
+        raise DataError(f"{path}: model format version {doc['version']!r} is not "
+                        f"{_MODEL_FORMAT_VERSION}; rerun train")
+    label, config = doc["class_label"], doc["train_config"]
+    if type(label) is not int or label < 1:
+        raise DataError(f"{path}: class_label must be a positive int, got {label!r}")
+    if config is not None and not isinstance(config, dict):
+        raise DataError(f"{path}: train_config must be an object, got {config!r}")
+    try:
+        inverse = mlp_from_dict(doc["inverse"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed inverse map: {exc!r}") from None
+    return SavedClassFlow(label, inverse, config)

@@ -1,5 +1,6 @@
-"""Shared test fixtures: central finite-difference gradient oracles, and the
-hypothesis profile of the property tests.
+"""Shared test fixtures: central finite-difference gradient oracles, the
+text of a class model's four networks, and the hypothesis profile of the
+property tests.
 
 The gradient checks treat the tape engine as the object under test, so the
 oracle side never touches Tensor internals: it re-evaluates the loss as a
@@ -10,8 +11,12 @@ widely from run to run on small shared machines, and derandomized, so a
 run draws the same examples every time.
 """
 
+import json
+
 import numpy as np
 from hypothesis import settings
+
+from flowconformal.nn import mlp_to_dict
 
 settings.register_profile("flowconformal", deadline=None, derandomize=True)
 settings.load_profile("flowconformal")
@@ -79,3 +84,11 @@ def check_mlp_gradients(net, loss_fn, rel_tol: float = REL_TOL) -> float:
         p.grad = None
     assert worst < rel_tol, f"gradient mismatch: worst rel err {worst:.3e}"
     return worst
+
+
+def networks_json(model) -> str:
+    """G, I, D and h of a trained class model as one JSON text: equal texts
+    mean equal networks bit for bit, since each float is written as its repr
+    (which keeps -0.0 apart from 0.0). A model file holds only I."""
+    nets = (model.generator, model.inverse, model.discriminator, model.head)
+    return json.dumps([mlp_to_dict(net) for net in nets])

@@ -31,6 +31,7 @@ from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_conf
 from flowconformal.conformal import load_p_values, load_sets
 from flowconformal.datasets import load_dataset_csv
 from flowconformal.errors import ConfigError, DataError
+from conftest import networks_json
 from loss_oracle import tape_cross_entropy
 from table_oracle import read_table as oracle_read
 
@@ -458,6 +459,17 @@ def test_train_writes_the_same_models_for_any_cpu_count(tmp_path, monkeypatch):
         trees.append({p.name: p.read_bytes() for p in (out / "models").iterdir()})
     assert len(trees[0]) == 7  # normalizer, a model and a trace per class
     assert trees[0] == trees[1] == trees[2]
+    # a model file holds only the inverse map; G, D and h are compared here
+    train = load_dataset_csv(str(out / "data" / "train.csv"))
+    arch = roundtrip.FlowArchitecture(1, 1, (8,), (8,), (8,))
+    config = roundtrip.TrainConfig(epochs=4, batch_size=16, w_mmd=8.0, w_cycle=0.5, seed=3)
+    nets = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: cpus)
+        trained = roundtrip.train_class_flows(train.features, train.labels, arch, config)
+        nets.append([(model.class_label, networks_json(model)) for model, _ in trained])
+    assert [label for label, _ in nets[0]] == [1, 2, 3]
+    assert nets[0] == nets[1] == nets[2]
 
 
 @pytest.mark.parametrize("failure, code, message", [
@@ -558,11 +570,11 @@ GOLDEN_RUN_DIGESTS = {
     "manifest.json":
         "cc45ebd1785e052941cc33437bba47df4a87c989a67090ee9176a61ec25db9f4",
     "models/class_1.json":
-        "1a8bcfc3d042b634ad39a495f412a99a22cc6c43b1fd0edbe5f0d9902c7130ce",
+        "285c6d8ef079700b9378118759b119965db775cc59c0a5166d01790ef9027b34",
     "models/class_2.json":
-        "19ed08b58648fe5da53fe19b4aaabd68240ee69f2b04e1f740c0765ef2f010ad",
+        "178131f5a4202383e4e53140441fa888eca45631b24821203b35390126d91bfe",
     "models/class_3.json":
-        "330766cc22c0b48f3c1354610b248981d9082546b1ca333de10061017a150a5d",
+        "b6bdb587726ecc3126001517e9559d74a5c796109a1fefb38710968f2f398c87",
     "models/normalizer.json":
         "f6a5808d14ffb3f05cfda66a55c4858d7f556e3a1e17ec70fc6667d26eca3654",
     "models/trace_class_1.json":
@@ -689,6 +701,99 @@ def test_calibrate_pool_sizes_match_training_rows(pipeline):
         label = int(line.split(",")[0])
         per_class[label] = per_class.get(label, 0) + 1
     assert per_class == {1: 64, 2: 64}
+
+
+def test_model_files_hold_only_the_inverse_map(pipeline):
+    _, out = pipeline
+    for label in (1, 2):
+        doc = json.loads((out / "models" / f"class_{label}.json").read_text())
+        assert list(doc) == ["version", "class_label", "train_config", "inverse"]
+        assert (doc["version"], doc["class_label"]) == (2, label)
+        assert list(doc["inverse"]) == ["spec", "layers"]
+        assert doc["inverse"]["spec"]["layer_widths"] == [1, 8, 1]
+
+
+def _calibrate_copy(pipeline, tmp_path, name, edit):
+    """(path, exit code, stderr) of calibrate on a copy of the pipeline's
+    output whose models/``name`` is rewritten by ``edit`` (text -> text)."""
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "models" / name
+    path.write_text(edit(path.read_text()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["calibrate", "--config", cfg_path, "--out", str(copy)])
+    return path, code, err.getvalue()
+
+
+def _doc_edit(change):
+    return lambda text: json.dumps(change(json.loads(text)))
+
+
+def _setting(key, value):
+    return _doc_edit(lambda doc: _with(doc, (key,), value))
+
+
+def _without(*path):
+    def drop(doc):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        return doc
+    return _doc_edit(drop)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("class_1.json", _without("inverse"), "missing key 'inverse'"),
+    ("class_1.json", _without("class_label"), "missing key 'class_label'"),
+    ("class_1.json", _doc_edit(lambda doc: [doc]), "expected a JSON object, got list"),
+    ("class_1.json", lambda text: text[:-10], "not valid JSON"),
+    ("class_1.json", _setting("class_label", "x"), "class_label must be a positive int, got 'x'"),
+    ("class_1.json", _setting("class_label", 0), "class_label must be a positive int, got 0"),
+    ("class_1.json", _setting("class_label", 1.0), "class_label must be a positive int, got 1.0"),
+    ("class_1.json", _setting("train_config", []), "train_config must be an object, got []"),
+    ("class_1.json", _setting("inverse", 3), "malformed inverse map"),
+    ("class_1.json", _without("inverse", "layers"), "malformed inverse map: KeyError('layers')"),
+    ("class_1.json", _doc_edit(lambda doc: _with(doc, ("inverse", "layers"),
+                                              doc["inverse"]["layers"][:1])),
+     "malformed inverse map: ValueError('expected 2 layers, got 1')"),
+    ("class_1.json", _doc_edit(lambda doc: _with(doc, ("inverse", "layers", 0, "b"),
+                                              [math.nan] * 8)),
+     "malformed inverse map: ValueError('network weights must be finite')"),
+    ("normalizer.json", _without("std"), "missing key 'std'"),
+    ("normalizer.json", _doc_edit(lambda doc: [doc]), "expected a JSON object, got list"),
+    ("normalizer.json", _setting("mean", "x"), "mean and std must be lists of numbers"),
+    ("normalizer.json", _setting("std", [1.0, 1.0]), "must be lists of equal length"),
+    ("normalizer.json", _setting("std", [0.0]), "std finite and positive"),
+    ("normalizer.json", _setting("std", [-1.0]), "std finite and positive"),
+    ("normalizer.json", _setting("std", [math.inf]), "std finite and positive"),
+    ("normalizer.json", _setting("mean", [math.nan]), "mean must be finite"),
+], ids=["model-no-inverse", "model-no-label", "model-array", "model-not-json", "model-label-str",
+        "model-label-0", "model-label-float", "model-config-list", "model-inverse-int",
+        "model-no-layers", "model-one-layer", "model-nan-weight", "norm-no-std", "norm-array",
+        "norm-mean-str", "norm-lengths", "norm-std-0", "norm-std-negative", "norm-std-inf",
+        "norm-mean-nan"])
+def test_malformed_model_or_normalizer_exits_two_naming_the_file(pipeline, tmp_path,
+                                                                 name, edit, message):
+    path, code, err = _calibrate_copy(pipeline, tmp_path, name, edit)
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_calibrate_on_a_version_1_model_file_exits_two_asking_to_retrain(pipeline, tmp_path):
+    def version_1(doc):
+        # the old layout: four networks, each with its own version, and the dimensions
+        net = {**doc["inverse"], "version": 1}
+        return {"version": 1, "class_label": 2, "input_dim": 1, "latent_dim": 1,
+                "train_config": doc["train_config"], "generator": net, "inverse": net,
+                "discriminator": net, "head": net}
+
+    path, code, err = _calibrate_copy(pipeline, tmp_path, "class_2.json", _doc_edit(version_1))
+    assert code == 2
+    assert err == f"error: {path}: model format version 1 is not 2; rerun train\n"
 
 
 # -- predict ---------------------------------------------------------------------------------

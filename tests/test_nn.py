@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import check_mlp_gradients
+from conftest import check_mlp_gradients, networks_json
 from flowconformal._table import write_json
 from flowconformal.nn import (
     ACTIVATIONS,
@@ -166,14 +166,6 @@ def test_json_roundtrip_exact(tmp_path):
         assert np.array_equal(b1.data, b2.data)
     x = rng.normal(size=(4, 3))
     assert np.array_equal(net.predict(x), back.predict(x))
-
-
-def test_mlp_dict_version_guard():
-    rng = np.random.default_rng(1)
-    doc = mlp_to_dict(Mlp(MlpSpec((1, 1), (), "identity"), rng=rng))
-    doc["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        mlp_from_dict(doc)
 
 
 # -- fused MLP node and flat Adam against their per-layer / per-parameter oracles --
@@ -345,7 +337,7 @@ def test_flat_adam_nan_gradient_raises_and_leaves_parameters():
         assert _same(p.data, b)
 
 
-def test_training_with_oracles_writes_the_same_model_bytes(tmp_path, monkeypatch):
+def test_training_with_oracles_writes_the_same_model_bytes(monkeypatch):
     from flowconformal import roundtrip
 
     rng = np.random.default_rng(21)
@@ -355,17 +347,14 @@ def test_training_with_oracles_writes_the_same_model_bytes(tmp_path, monkeypatch
                                       inv_hidden=(12, 12), disc_hidden=(12, 12))
     config = roundtrip.TrainConfig(epochs=2, batch_size=32, seed=7, w_mmd=8.0, w_cycle=0.5)
 
-    def train_and_save(name):
+    def train():
         model, trace = roundtrip.train_class_flow(x_pos, x_neg, 1, arch, config)
-        path = tmp_path / name
-        roundtrip.save_class_flow(model, str(path))
-        return path.read_bytes(), trace.to_dict()
+        return networks_json(model), trace.to_dict()
 
-    fused = train_and_save("fused.json")
+    fused = train()
     monkeypatch.setattr(Mlp, "forward", _tape_forward)
     monkeypatch.setattr(Mlp, "__call__", _tape_forward)
     monkeypatch.setattr(Mlp, "predict", _tape_predict)
     monkeypatch.setattr(roundtrip, "Adam", OracleAdam)
-    oracle = train_and_save("oracle.json")
-    assert fused == oracle
+    assert train() == fused
 
