@@ -18,15 +18,16 @@ its ``repr``, the shortest text that reads back to the same float64, so JSON
 floats round-trip exactly too. That text is not ``%.17g``'s: ``0.9413333333333334``
 where a table holds ``0.94133333333333336``, and ``1.0`` keeps its ``.0``.
 
-Writing formats ``_CHUNK`` rows at a time. When at least a third of a
-sample of the chunk's float values repeats an earlier one (``_repeats``;
-8-bit image pixels, p-values that take at most n+1 values), each distinct bit
-pattern of the chunk is formatted once with its column's format and the rows
-are joined from those strings. Keying on the bit pattern keeps ``-0.0`` apart
-from ``0.0``, and a value formats to the same text wherever it stands, so the
-bytes are those of formatting every value. Other chunks format each row
-with one ``%``: Gaussian floats never repeat, and where most floats differ
-the memo costs more than it saves.
+Writing formats ``_CHUNK`` rows at a time and writes each chunk's lines
+before it formats the next, so memory stays near one chunk's text, not the
+table's. When at least a third of a sample of the chunk's float values
+repeats an earlier one (``_repeats``; 8-bit image pixels, p-values that take
+at most n+1 values), each distinct bit pattern of the chunk is formatted once
+with its column's format and the rows are joined from those strings. Keying
+on the bit pattern keeps ``-0.0`` apart from ``0.0``, and a value formats to
+the same text wherever it stands, so the bytes are those of formatting every
+value. Other chunks format each row with one ``%``: Gaussian floats never
+repeat, and where most floats differ the memo costs more than it saves.
 
 Reading parses a block of about ``_BLOCK_FIELDS`` fields at a time: the
 block's stripped, non-blank lines are joined and split once, each int or
@@ -60,24 +61,24 @@ _SAMPLE = 256  # values of a block that _repeats looks at
 def write_table(path: str, header, columns, formats) -> None:
     """Write ``header`` and one line per row of the equal-length ``columns``.
 
-    ``formats`` holds one printf-style format per column; the file is written
-    in one buffered call.
+    ``formats`` holds one printf-style format per column; each chunk's lines
+    are written as soon as they are formatted.
     """
     columns = [np.asarray(col) for col in columns]
     fmt = ",".join(formats)
     floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
     stride = max(1, _CHUNK * len(floats) // _SAMPLE)
-    lines = [",".join(header)]
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
-        if floats and _repeats(np.concatenate([columns[j][start:start + _CHUNK:stride]
-                                               for j in floats]).view(np.int64).tolist()):
-            lines.extend(_memo_lines([col[start:start + _CHUNK] for col in columns],
-                                     formats, floats))
-            continue
-        rows = zip(*(col[start:start + _CHUNK].tolist() for col in columns))
-        lines.extend(map(fmt.__mod__, rows))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
+            if floats and _repeats(np.concatenate([columns[j][start:start + _CHUNK:stride]
+                                                   for j in floats]).view(np.int64).tolist()):
+                lines = _memo_lines([col[start:start + _CHUNK] for col in columns],
+                                    formats, floats)
+            else:
+                lines = map(fmt.__mod__, zip(*(col[start:start + _CHUNK].tolist()
+                                              for col in columns)))
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path: str, doc) -> None:

@@ -489,7 +489,17 @@ def _load_models(cfg: ExperimentConfig):
     paths = sorted(glob.glob(cfg.path("models", "class_*.json")))
     if not paths:
         raise DataError(f"no model bundles under {cfg.path('models')}; run train first")
-    models = [load_class_flow(p) for p in paths]
+    models, names = [], {}
+    for path in paths:
+        model = load_class_flow(path)
+        label, name = model.class_label, os.path.basename(path)
+        if label in names:
+            raise DataError(f"{path}: class_label {label} repeats that of {names[label]}")
+        if name != f"class_{label}.json":
+            raise DataError(f"{path}: class_label {label} does not match the file name "
+                            f"(expected class_{label}.json)")
+        names[label] = name
+        models.append(model)
     models.sort(key=lambda m: m.class_label)
     return models
 

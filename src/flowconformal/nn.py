@@ -19,6 +19,19 @@ Every element goes through the same numpy operations, in the same order, as
 the per-layer graph would, so values and gradients are bit-identical to it.
 ``Adam`` keeps its moments in one flat vector and updates them in place, in
 one pass over the concatenated gradients.
+
+``Mlp.predict`` runs the layers over blocks of ``PREDICT_BLOCK`` rows and
+writes each block's output into one (n, out) array, so scoring an arm holds
+a few (block, width) activations, never an (n, width) one. The blocks also
+fix each row's bits: OpenBLAS (SkylakeX) runs a product of more than about
+1e6 multiply-adds on a blocked kernel whose bits differ from its
+small-matrix kernel's at output widths 2, 3 and 9, and the small kernel
+computes rows in panels of four. With blocks of 1,024 rows an output layer
+of up to 9 units fed by up to 48 stays on the small kernel, so a row's bits
+do not depend on how many rows share the call, except in the last n mod 4
+rows. A last block of one row joins the block before it, since numpy hands a
+one-row product to gemv, whose bits differ again. A training batch (128
+rows) is one block.
 """
 
 from __future__ import annotations
@@ -44,6 +57,9 @@ ACTIVATIONS = tuple(ACTIVATION_TABLE)
 
 # Adam's moment decay rates and the offset of its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# rows per block of Mlp.predict, a multiple of 4 (see the module docstring)
+PREDICT_BLOCK = 1024
 
 
 def hidden_widths(name: str, widths) -> tuple[int, ...]:
@@ -167,13 +183,26 @@ class Mlp:
     __call__ = forward
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass on raw arrays, no graph recorded."""
-        h = np.asarray(x, dtype=np.float64)
-        self._check_input(h)
+        """Forward pass on raw arrays, no graph recorded, ``PREDICT_BLOCK``
+        rows at a time (see the module docstring)."""
+        x = np.asarray(x, dtype=np.float64)
+        self._check_input(x)
+        n = x.shape[0]
+        bounds = [*range(0, n, PREDICT_BLOCK), n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]  # no one-row block: numpy would run it on gemv
+        if len(bounds) <= 2:
+            return self._predict_block(x)
+        out = np.empty((n, self.spec.output_dim))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[lo:hi] = self._predict_block(x[lo:hi])
+        return out
+
+    def _predict_block(self, h: np.ndarray) -> np.ndarray:
         if not np.isfinite(h).all():
             raise ValueError("tensor data must be finite")
         # one name for every layer's arrays, so each is freed as soon as the
-        # next exists: at most two (rows, width) arrays are alive at a time
+        # next exists: at most two (block rows, width) arrays are alive at a time
         for w, b, (act, _) in self._layer_acts():
             h = h @ w.data
             h += b.data

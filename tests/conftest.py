@@ -1,6 +1,6 @@
 """Shared test fixtures: central finite-difference gradient oracles, the
-text of a class model's four networks, and the hypothesis profile of the
-property tests.
+text of a class model's four networks, the OpenBLAS core that bit-exact
+tests gate on, and the hypothesis profile of the property tests.
 
 The gradient checks treat the tape engine as the object under test, so the
 oracle side never touches Tensor internals: it re-evaluates the loss as a
@@ -11,7 +11,9 @@ widely from run to run on small shared machines, and derandomized, so a
 run draws the same examples every time.
 """
 
+import ctypes
 import json
+import pathlib
 
 import numpy as np
 from hypothesis import settings
@@ -92,3 +94,21 @@ def networks_json(model) -> str:
     (which keeps -0.0 apart from 0.0). A model file holds only I."""
     nets = (model.generator, model.inverse, model.discriminator, model.head)
     return json.dumps([mlp_to_dict(net) for net in nets])
+
+
+def openblas_core():
+    """The core whose kernels the OpenBLAS bundled with numpy runs here, or
+    None if it cannot be asked. A DYNAMIC_ARCH build picks the core per CPU
+    at load time; the core in np.show_config's "openblas configuration" is
+    that of the machine that built the wheel."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None

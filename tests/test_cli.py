@@ -6,7 +6,6 @@ re-derivable from the p-value files, and reruns must be byte-identical.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import importlib.util
 import io
@@ -31,7 +30,7 @@ from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_conf
 from flowconformal.conformal import load_p_values, load_sets
 from flowconformal.datasets import load_dataset_csv
 from flowconformal.errors import ConfigError, DataError
-from conftest import networks_json
+from conftest import networks_json, openblas_core
 from loss_oracle import tape_cross_entropy
 from table_oracle import read_table as oracle_read
 
@@ -626,28 +625,10 @@ GOLDEN_RUN_DIGESTS = {
 }
 
 
-def _openblas_core():
-    """The core whose kernels the OpenBLAS bundled with numpy runs here, or
-    None if it cannot be asked. A DYNAMIC_ARCH build picks the core per CPU
-    at load time; the core in np.show_config's "openblas configuration" is
-    that of the machine that built the wheel."""
-    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(lib, name, None)
-            if corename is not None:
-                corename.argtypes = []
-                corename.restype = ctypes.c_char_p
-                return corename().decode()
-    return None
-
-
 def _run_machine():
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "blas_core": _openblas_core()}
+            "blas_version": blas.get("version"), "blas_core": openblas_core()}
 
 
 def _tree_digest(out_dir):
@@ -762,6 +743,9 @@ def _without(*path):
     ("class_1.json", _doc_edit(lambda doc: _with(doc, ("inverse", "layers", 0, "b"),
                                               [math.nan] * 8)),
      "malformed inverse map: ValueError('network weights must be finite')"),
+    ("class_2.json", _setting("class_label", 1), "class_label 1 repeats that of class_1.json"),
+    ("class_2.json", _setting("class_label", 3),
+     "class_label 3 does not match the file name (expected class_3.json)"),
     ("normalizer.json", _without("std"), "missing key 'std'"),
     ("normalizer.json", _doc_edit(lambda doc: [doc]), "expected a JSON object, got list"),
     ("normalizer.json", _setting("mean", "x"), "mean and std must be lists of numbers"),
@@ -772,7 +756,8 @@ def _without(*path):
     ("normalizer.json", _setting("mean", [math.nan]), "mean must be finite"),
 ], ids=["model-no-inverse", "model-no-label", "model-array", "model-not-json", "model-label-str",
         "model-label-0", "model-label-float", "model-config-list", "model-inverse-int",
-        "model-no-layers", "model-one-layer", "model-nan-weight", "norm-no-std", "norm-array",
+        "model-no-layers", "model-one-layer", "model-nan-weight", "model-label-repeated",
+        "model-label-not-its-name", "norm-no-std", "norm-array",
         "norm-mean-str", "norm-lengths", "norm-std-0", "norm-std-negative", "norm-std-inf",
         "norm-mean-nan"])
 def test_malformed_model_or_normalizer_exits_two_naming_the_file(pipeline, tmp_path,

@@ -7,6 +7,7 @@ formulas of ``tape_oracle.ORACLE_ACTIVATIONS``, and ``tape_oracle.OracleAdam``.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import check_mlp_gradients, networks_json
 from flowconformal._table import write_json
 from flowconformal.nn import (
     ACTIVATIONS,
+    PREDICT_BLOCK,
     Adam,
     Mlp,
     MlpSpec,
@@ -52,6 +54,55 @@ def test_forward_shape_errors_name_the_problem():
         net.predict(np.ones((1, 2)))
     with pytest.raises(ValueError, match="batch, features"):
         net.predict(np.ones(3))
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (0, [0]), (1, [1]), (128, [128]), (PREDICT_BLOCK, [PREDICT_BLOCK]),
+    (PREDICT_BLOCK + 1, [PREDICT_BLOCK + 1]),
+    (PREDICT_BLOCK + 2, [PREDICT_BLOCK, 2]),
+    (3 * PREDICT_BLOCK + 1, [PREDICT_BLOCK, PREDICT_BLOCK, PREDICT_BLOCK + 1]),
+])
+def test_predict_runs_row_blocks_and_folds_a_one_row_remainder(monkeypatch, n, blocks):
+    rng = np.random.default_rng(3)
+    net = Mlp(MlpSpec((2, 6, 3), ("relu",), "identity"), rng=rng)
+    x = rng.normal(size=(n, 2))
+    sizes = []
+    run_block = Mlp._predict_block
+
+    def recording(self, h):
+        sizes.append(h.shape[0])
+        return run_block(self, h)
+
+    monkeypatch.setattr(Mlp, "_predict_block", recording)
+    out = net.predict(x)
+    assert sizes == blocks
+    # each block's rows are what predict gives for that block alone
+    bounds = np.cumsum([0] + blocks)
+    parts = [run_block(net, x[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert _same(out, np.concatenate(parts))
+
+
+def test_predict_rejects_a_non_finite_value_in_a_later_block():
+    net = Mlp(MlpSpec((2, 3), (), "identity"), rng=np.random.default_rng(0))
+    x = np.zeros((3 * PREDICT_BLOCK, 2))
+    x[-1, 1] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        net.predict(x)
+
+
+def test_predict_memory_is_bounded_by_the_block_size():
+    """50,000 rows through 2 -> 48 -> 48 -> 2 hold a few (block, 48)
+    activations and the output, never a (50,000, 48) one (18 MiB each)."""
+    rng = np.random.default_rng(4)
+    net = Mlp(MlpSpec((2, 48, 48, 2), ("relu", "relu"), "identity"), rng=rng)
+    x = rng.normal(size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        out = net.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * (PREDICT_BLOCK + 1) * 48 * 8, peak
 
 
 def test_spec_validation():

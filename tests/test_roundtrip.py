@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowconformal import roundtrip
+from flowconformal.baselines import SoftmaxClassifier
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
@@ -42,7 +43,7 @@ from flowconformal.roundtrip import (
     train_class_flow,
     train_class_flows,
 )
-from conftest import networks_json
+from conftest import networks_json, openblas_core
 from loss_oracle import (
     ROUNDTRIP_ORACLES,
     tape_disc_loss,
@@ -230,6 +231,23 @@ def test_class_flow_model_shape_checks():
         ClassFlowModel(1, gen, inv, sigmoid_net(2, np.zeros(2), 0.0), head)
     with pytest.raises(ConfigError, match="head"):
         ClassFlowModel(1, gen, inv, disc, sigmoid_net(3, np.zeros(3), 0.0))
+
+
+@pytest.mark.skipif(openblas_core() != "SkylakeX",
+                    reason="kernel choice and bits recorded on OpenBLAS's SkylakeX core")
+def test_a_rows_scores_do_not_depend_on_how_many_rows_share_the_call():
+    """OpenBLAS runs a product of up to about 1e6 multiply-adds on its
+    small-matrix kernel and larger ones on its blocked kernel, whose bits
+    differ at output widths 2 and 3. Rows scored in blocks of PREDICT_BLOCK
+    rows stay on the small kernel however long the array is."""
+    rng = np.random.default_rng(9)
+    model = build_class_flow(FlowArchitecture(2, 2, (48, 48), (48, 48), (48, 48)), 1, rng)
+    classifier = SoftmaxClassifier(Mlp(MlpSpec((2, 32, 3), ("relu",), "identity"), rng=rng),
+                                   (1, 2, 3))
+    x = rng.standard_normal((20_000, 2))
+    assert encode(model, x)[:2000].tobytes() == encode(model, x[:2000]).tobytes()
+    assert (classifier.predict_proba(x)[:2000].tobytes()
+            == classifier.predict_proba(x[:2000]).tobytes())
 
 
 def test_encode_shape_errors():

@@ -618,6 +618,17 @@ def _traced_write_peak(write, path, ds):
         tracemalloc.stop()
 
 
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    """Each 256-row chunk's lines go to the file before the next chunk is
+    formatted, so 40,000 float rows peak near 4,000 (the whole table's text
+    is about 2.5 MB)."""
+    rng = np.random.default_rng(6)
+    peaks = [_traced_write_peak(write_table, str(tmp_path / f"{n}.csv"),
+                                LabeledDataset(rng.standard_normal((n, 3)), np.ones(n, int)))
+             for n in (4_000, 40_000)]
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
 def test_writer_memory_stays_at_most_the_oracle(tmp_path):
     """On a 4,320 x 64 table of 8-bit pixels the memo path peaks no higher
     than formatting every value: it holds one 256-row chunk at a time."""
