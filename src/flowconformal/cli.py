@@ -13,9 +13,15 @@ can be rerun or tested in isolation:
                   histograms, and a method-by-rate comparison CSV
     manifest.json config hash, artifact index, timestamps
 
-``train`` trains the class models in up to one process per usable CPU, this
+``train`` trains the class models in up to four processes per usable CPU, this
 one included (``roundtrip.train_class_flows``); the models are the same
 bytes as training the classes one after another.
+
+``evaluate`` grades every method at its own alpha through one report loop:
+flow's sets come from the p-value files, the baselines' from the class
+probabilities of a classifier it fits. The sets files are ``predict``'s
+output for users, made at predict's alpha; ``evaluate`` checks their classes
+and rows against the p-values and does not grade them.
 
 The config is checked against one typed schema (``_SCHEMA``) before any
 stage runs. Exit codes: 0 success, 1 usage or configuration error (an
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -323,10 +330,16 @@ class RunManifest:
         if not os.path.exists(path):
             now = time.strftime("%Y-%m-%dT%H:%M:%S")
             return cls(config_hash=config_hash, created=now, updated=now)
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(config_hash=config_hash, created=doc.get("created", ""),
-                   updated=doc.get("updated", ""), artifacts=doc.get("artifacts", {}))
+        doc = read_json(path, ("artifacts", "created", "updated"))
+        artifacts = doc["artifacts"]
+        if not (isinstance(artifacts, dict) and all(
+                isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+                for paths in artifacts.values())):
+            raise DataError(f"{path}: artifacts must be an object of path lists")
+        if not isinstance(doc["created"], str) or not isinstance(doc["updated"], str):
+            raise DataError(f"{path}: created and updated must be strings")
+        return cls(config_hash=config_hash, created=doc["created"], updated=doc["updated"],
+                   artifacts=artifacts)
 
     def record(self, stage: str, paths: list[str], out_dir: str) -> None:
         """Add a stage's artifacts to those recorded before, then drop every
@@ -561,36 +574,26 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
-    written = []
-    alpha = cfg.conformal.alpha
-    comparison_rows = []
     tests = [load_dataset_csv(cfg.test_csv(rate)) for rate in cfg.rates]
-    for rate, test in zip(cfg.rates, tests):
+    written, comparison_rows = [], []
+    # one arm's rows at a time, flow's arms first: (method, rate, test arm,
+    # class labels, sets at alpha, p-values or None)
+    graded = _flow_sets(cfg, tests)
+    if cfg.baselines_enabled:
+        graded = itertools.chain(graded, _baseline_sets(cfg, tests, written))
+    for method, rate, test, labels, sets, matrix in graded:
         token = cfg.rate_token(rate)
-        pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
-        set_path = cfg.path("predictions", f"sets_{token}.csv")
-        if not (os.path.exists(pv_path) and os.path.exists(set_path)):
-            raise DataError(f"predictions missing for rate {rate}; run predict first")
-        labels, matrix = load_p_values(pv_path)
-        set_labels, sets = load_sets(set_path)
-        if set_labels != labels:
-            raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
-        if sets.shape[0] != test.n or matrix.shape[0] != test.n:
-            raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
-        report = build_report(sets, test.labels, alpha,
-                              class_labels=labels, p_matrix=matrix)
-        rp = cfg.path("reports", f"report_flow_{token}.json")
+        report = build_report(sets, test.labels, cfg.conformal.alpha, labels, p_matrix=matrix)
+        rp = cfg.path("reports", f"report_{method}_{token}.json")
         emit_report(report, rp)
         written.append(rp)
-        comparison_rows.append(("flow", rate, report))
+        comparison_rows.append((method, rate, report))
+        if matrix is None:
+            continue
         for j, cls in enumerate(labels):
-            own = matrix[test.labels == cls, j]
             hp = cfg.path("reports", f"hist_{token}_class{cls}.csv")
-            emit_histogram(own, hp)
+            emit_histogram(matrix[test.labels == cls, j], hp)
             written.append(hp)
-
-    if cfg.baselines_enabled:
-        written.extend(_evaluate_baselines(cfg, tests, comparison_rows))
 
     cmp_path = cfg.path("reports", "comparison.csv")
     emit_comparison(comparison_rows, cmp_path)
@@ -599,9 +602,28 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
-def _evaluate_baselines(cfg: ExperimentConfig, tests: list[LabeledDataset],
-                        comparison_rows) -> list[str]:
-    """Baseline reports per arm; ``tests`` holds the arms of ``cfg.rates`` in order."""
+def _flow_sets(cfg: ExperimentConfig, tests: list[LabeledDataset]):
+    """Flow's graded rows: each arm's sets at alpha from predict's p-values."""
+    for rate, test in zip(cfg.rates, tests):
+        token = cfg.rate_token(rate)
+        pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
+        set_path = cfg.path("predictions", f"sets_{token}.csv")
+        if not (os.path.exists(pv_path) and os.path.exists(set_path)):
+            raise DataError(f"predictions missing for rate {rate}; run predict first")
+        labels, matrix = load_p_values(pv_path)
+        # predict's sets, made at its own alpha, are not graded; their classes and
+        # rows must match the p-values', so outputs of two runs do not mix
+        set_labels, saved = load_sets(set_path)
+        if set_labels != labels:
+            raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
+        if saved.shape[0] != test.n or matrix.shape[0] != test.n:
+            raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
+        yield "flow", rate, test, labels, predictive_set(matrix, cfg.conformal.alpha), matrix
+
+
+def _baseline_sets(cfg: ExperimentConfig, tests: list[LabeledDataset], written: list[str]):
+    """Fit the classifier, then per arm write its probabilities (paths to ``written``)
+    and yield its scaling and APS graded rows; ``tests`` follows ``cfg.rates``."""
     train = load_dataset_csv(cfg.path("data", "train.csv"))
     calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
     norm = _load_normalizer(cfg)
@@ -618,22 +640,14 @@ def _evaluate_baselines(cfg: ExperimentConfig, tests: list[LabeledDataset],
     cal_probs = clf.predict_proba(_apply_norm(norm, aps_cal.features))
     cal = aps_calibrate(cal_probs, aps_cal.labels, class_labels, cfg.conformal.alpha)
 
-    written = []
     for rate, test in zip(cfg.rates, tests):
         token = cfg.rate_token(rate)
         probs = clf.predict_proba(_apply_norm(norm, test.features))
         pp = cfg.path("predictions", f"probs_{token}.csv")
         save_prob_matrix(pp, class_labels, probs)
         written.append(pp)
-        for method, sets in (("scaling", scaling_set(probs, cfg.conformal.alpha)),
-                             ("aps", aps_set(probs, cal))):
-            report = build_report(sets, test.labels, cfg.conformal.alpha,
-                                  class_labels=class_labels)
-            rp = cfg.path("reports", f"report_{method}_{token}.json")
-            emit_report(report, rp)
-            written.append(rp)
-            comparison_rows.append((method, rate, report))
-    return written
+        yield "scaling", rate, test, class_labels, scaling_set(probs, cfg.conformal.alpha), None
+        yield "aps", rate, test, class_labels, aps_set(probs, cal), None
 
 
 _STAGES = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,

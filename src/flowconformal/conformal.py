@@ -159,7 +159,11 @@ def load_pools(path: str) -> list[ScorePool]:
     _, (classes, scores) = read_table(path, ("class", "score"), (int, float))
     if not classes.size:
         raise DataError(f"{path}: no score rows")
-    return [ScorePool(int(label), scores[classes == label]) for label in sorted_labels(classes)]
+    try:
+        return [ScorePool(int(label), scores[classes == label])
+                for label in sorted_labels(classes)]
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_p_values(path: str, labels, matrix: np.ndarray) -> None:
@@ -167,8 +171,15 @@ def save_p_values(path: str, labels, matrix: np.ndarray) -> None:
 
 
 def load_p_values(path: str):
-    """Returns (labels, matrix)."""
-    return read_matrix(path, "pi_")
+    """Returns (labels, matrix); a value outside [0, 1], NaN included, raises
+    a DataError naming the file, its data row and its column."""
+    labels, matrix = read_matrix(path, "pi_")
+    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataError(f"{path}: data row {i + 1} holds {float(matrix[i, j])!r} in column "
+                        f"pi_{labels[j]}; p-values lie in [0, 1]")
+    return labels, matrix
 
 
 def save_sets(path: str, labels, member: np.ndarray) -> None:

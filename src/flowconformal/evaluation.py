@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._table import FLOAT, write_json, write_table
-from .datasets import OUTLIER, sorted_labels
+from .datasets import OUTLIER
 from .errors import ConfigError, DataError
 from .special import chi2_cdf
 
@@ -168,23 +168,19 @@ class EvalReport:
         return asdict(self)
 
 
-def build_report(sets, labels, alpha: float,
-                 class_labels=None, p_matrix: np.ndarray | None = None,
-                 ks_level: float = 0.01) -> EvalReport:
+def build_report(sets, labels, alpha: float, class_labels,
+                 p_matrix: np.ndarray | None = None, ks_level: float = 0.01) -> EvalReport:
     """Assemble the full metric report for one test arm.
 
     The columns of the membership matrix ``sets`` and of ``p_matrix`` follow
-    ``class_labels`` (default: the inlier labels present, ascending). With a
-    p-value matrix, per-class type-I rates and KS uniformity checks come from
-    the p-values of each class's own test rows; otherwise type-I rates fall
-    back to set membership and the KS section stays empty.
+    ``class_labels``. With a p-value matrix, per-class type-I rates and KS
+    uniformity checks come from the p-values of each class's own test rows;
+    otherwise type-I rates fall back to set membership and the KS section
+    stays empty.
     """
     sets, labels = _check_aligned(sets, labels)
     inlier = labels != OUTLIER
-    if class_labels is None:
-        class_labels = tuple(int(v) for v in sorted_labels(labels[inlier]))
-    else:
-        class_labels = tuple(int(v) for v in class_labels)
+    class_labels = tuple(int(v) for v in class_labels)
     report = EvalReport(
         coverage=coverage(sets, labels, class_labels),
         size_error_paper=size_error_paper(sets, labels),

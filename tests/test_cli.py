@@ -836,12 +836,11 @@ def out_copy(pipeline, tmp_path_factory):
     return cfg_path, copy
 
 
-def _predict_file(cfg_path, out, test_file):
-    """(exit code, stderr) of predict on ``test_file`` into ``out``."""
+def _stage(cfg_path, out, *args):
+    """(exit code, stderr) of one stage run into ``out``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["predict", "--config", cfg_path, "--out", str(out),
-                     "--test-file", str(test_file)])
+        code = main([*args, "--config", cfg_path, "--out", str(out)])
     return code, err.getvalue()
 
 
@@ -851,7 +850,7 @@ def test_predict_names_the_line_of_an_oversized_label(out_copy):
     lines[1] = "99999999999999999999" + lines[1][lines[1].index(","):]
     path = out / "data" / "test_c5.csv"
     path.write_text("\n".join(lines) + "\n")
-    code, err = _predict_file(cfg_path, out, path)
+    code, err = _stage(cfg_path, out, "predict", "--test-file", str(path))
     assert code == 2
     assert err == f"error: {path}:2: int field '99999999999999999999' is outside int64\n"
 
@@ -894,7 +893,7 @@ def test_predict_on_a_mutated_arm_exits_cleanly(out_copy, data):
         expected = f"error: {exc}\n"
     except OverflowError:  # raised after every line is read: no line to name
         expected = OverflowError
-    code, err = _predict_file(cfg_path, out, path)
+    code, err = _stage(cfg_path, out, "predict", "--test-file", str(path))
     oversized = re.fullmatch(rf"error: {re.escape(str(path))}:(\d+): int field .* is outside "
                              rf"int64\n", err)
     if oversized:
@@ -950,19 +949,48 @@ def test_comparison_table_layout(pipeline):
         float(r[3]), float(r[4])
 
 
-def test_evaluate_places_set_columns_by_class_label(pipeline, tmp_path):
-    # a sets file whose class 1 column is all zeros still scores class 2 in its own column
+def test_evaluate_grades_every_method_at_its_own_alpha(pipeline, tmp_path):
+    # predict ran at 0.05; evaluate at 0.3 grades as if predict had run at 0.3 too
+    cfg_path, out = pipeline
+    late, both = tmp_path / "late", tmp_path / "both"
+    shutil.copytree(out, late)
+    shutil.copytree(out, both)
+    assert _stage(cfg_path, late, "evaluate", "--alpha", "0.3") == (0, "")
+    assert _stage(cfg_path, both, "predict", "--alpha", "0.3") == (0, "")
+    assert _stage(cfg_path, both, "evaluate", "--alpha", "0.3") == (0, "")
+    names = sorted(path.name for path in (both / "reports").iterdir())
+    assert names == sorted(path.name for path in (late / "reports").iterdir())
+    for name in names:
+        assert (late / "reports" / name).read_bytes() == (both / "reports" / name).read_bytes()
+    flow = "reports/report_flow_c10.json"
+    assert (late / flow).read_bytes() != (out / flow).read_bytes()
+
+
+@pytest.mark.parametrize("field", ["nan", "7.5"])
+def test_evaluate_exits_two_on_a_p_value_outside_the_unit_interval(pipeline, tmp_path, field):
     cfg_path, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
-    labels = load_dataset_csv(str(copy / "data" / "test_c0.csv")).labels
-    (copy / "predictions" / "sets_c0.csv").write_text(
-        "sample_id,in_1,in_2\n" + "".join(f"{i},0,{int(lab == 2)}\n"
-                                          for i, lab in enumerate(labels)))
-    assert main(["evaluate", "--config", cfg_path, "--out", str(copy),
-                 "--baselines", "off"]) == 0
-    doc = json.loads((copy / "reports" / "report_flow_c0.json").read_text())
-    assert doc["coverage"] == float(np.mean(labels == 2))
+    path = copy / "predictions" / "pvalues_c0.csv"
+    header, *rows = path.read_text().splitlines()
+    rows[4] = rows[4].rsplit(",", 1)[0] + f",{field}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    code, err = _stage(cfg_path, copy, "evaluate", "--baselines", "off")
+    assert code == 2
+    assert err == (f"error: {path}: data row 5 holds {field} in column "
+                   f"{header.rsplit(',', 1)[1]}; p-values lie in [0, 1]\n")
+
+
+def test_predict_exits_two_naming_the_pool_file_of_a_bad_row(pipeline, tmp_path):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "pools" / "pools.csv"
+    header, *rows = path.read_text().splitlines()
+    rows[0] = "0," + rows[0].split(",", 1)[1]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert _stage(cfg_path, copy, "predict") == (
+        2, f"error: {path}: class_label must be positive, got 0\n")
 
 
 @pytest.mark.parametrize("header", ["in_2,in_1", "in_1,in_7", "in_1,in_2,in_3", "in_1"])
@@ -1040,6 +1068,29 @@ def test_manifest_lists_existing_artifacts_for_every_stage(pipeline):
         for rel in paths:
             assert (out / rel).exists(), f"{stage}: {rel}"
     assert doc["created"] and doc["updated"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "expected a JSON object, got list"),
+    ("{", "not valid JSON"),
+    ('{"artifacts": 5, "created": "", "updated": ""}',
+     "artifacts must be an object of path lists"),
+    ('{"artifacts": {"train": "models"}, "created": "", "updated": ""}',
+     "artifacts must be an object of path lists"),
+    ('{"artifacts": {"train": [1]}, "created": "", "updated": ""}',
+     "artifacts must be an object of path lists"),
+    ('{"artifacts": {}, "created": 5, "updated": ""}', "created and updated must be strings"),
+    ('{"artifacts": {}, "created": ""}', "missing key 'updated'"),
+], ids=["array", "not-json", "artifacts-int", "paths-str", "path-int", "created-int",
+        "no-updated"])
+def test_malformed_manifest_exits_two_naming_the_file(tmp_path, text, message):
+    cfg_path, out = write_config(tmp_path)
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    code, err = _stage(cfg_path, out, "gen-data")
+    assert code == 2
+    assert err.startswith(f"error: {out / 'manifest.json'}: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_manifest_hash_matches_effective_config(pipeline):

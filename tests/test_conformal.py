@@ -392,6 +392,33 @@ def test_p_value_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, mat)
 
 
+@pytest.mark.parametrize("field, shown", [("nan", "nan"), ("7.5", "7.5"), ("-0.25", "-0.25"),
+                                          ("inf", "inf"), ("1.0000000000000002",
+                                                           "1.0000000000000002")],
+                         ids=["nan", "above-one", "negative", "inf", "one-ulp-above-one"])
+def test_p_value_csv_rejects_a_value_outside_the_unit_interval(tmp_path, field, shown):
+    path = tmp_path / "pv.csv"
+    path.write_text(f"sample_id,pi_3,pi_5\n0,0,1\n1,0.5,{field}\n2,{field},0.5\n")
+    with pytest.raises(DataError) as exc:
+        load_p_values(str(path))
+    assert str(exc.value) == (f"{path}: data row 2 holds {shown} in column pi_5; "
+                              f"p-values lie in [0, 1]")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1.5", "class_label must be positive, got 0"),
+    ("-3,1.5", "class_label must be positive, got -3"),
+    ("2,-1.5", "scores are squared norms and cannot be negative"),
+    ("2,nan", "score pool contains non-finite values"),
+], ids=["label-0", "label-negative", "score-negative", "score-nan"])
+def test_pool_csv_names_the_file_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "pools.csv"
+    path.write_text(f"class,score\n1,0.5\n{row}\n")
+    with pytest.raises(DataError) as exc:
+        load_pools(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_set_csv_roundtrip_with_outlier_token(tmp_path):
     member = np.array([[True, False, True], [False, False, False], [False, True, False]])
     path = str(tmp_path / "sets.csv")

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowconformal.conformal import ScorePool, p_value, predictive_set
 from flowconformal.errors import ConfigError, DataError
@@ -204,7 +206,7 @@ def test_build_report_type1_from_p_values():
 def test_build_report_type1_from_set_membership_without_p_values():
     sets = sets_of((1,), (2,), (1, 2), (2,), classes=(1, 2))
     labels = np.array([1, 1, 2, 2])
-    rep = build_report(sets, labels, alpha=0.05)
+    rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2))
     by_class = {row["class"]: row["rate"] for row in rep.type1_per_class}
     assert by_class[1] == 0.5
     assert by_class[2] == 0.0
@@ -221,6 +223,30 @@ def test_build_report_ks_present_with_enough_rows():
     assert len(rep.ks) == 1
     assert rep.ks[0]["class"] == 1
     assert not rep.ks[0]["reject"]
+
+
+@st.composite
+def _graded_arms(draw):
+    """(sets, labels, p-values, class labels) of one arm: outliers (label 0),
+    classes with no rows, and classes with the 20 rows a KS check needs."""
+    classes = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(1, 60))
+    labels = np.array(draw(st.lists(st.sampled_from((0,) + classes[:2]), min_size=n,
+                                    max_size=n)))
+    sets = draw(arrays(np.bool_, (n, len(classes))))
+    pmat = draw(arrays(np.float64, (n, len(classes)), elements=st.floats(0, 1)))
+    return sets, labels, pmat, classes
+
+
+@given(_graded_arms(), st.floats(0.01, 0.99), st.data())
+def test_build_report_is_independent_of_row_order(arm, alpha, data):
+    sets, labels, pmat, classes = arm
+    order = np.array(data.draw(st.permutations(range(labels.size))))
+    for p_matrix in (pmat, None):
+        before = build_report(sets, labels, alpha, classes, p_matrix=p_matrix)
+        after = build_report(sets[order], labels[order], alpha, classes,
+                             p_matrix=None if p_matrix is None else p_matrix[order])
+        assert after.to_dict() == before.to_dict()
 
 
 def test_build_report_rejects_misshaped_p_matrix():
