@@ -19,9 +19,11 @@ bytes as training the classes one after another.
 
 ``evaluate`` grades every method at its own alpha through one report loop:
 flow's sets come from the p-value files, the baselines' from the class
-probabilities of a classifier it fits. The sets files are ``predict``'s
-output for users, made at predict's alpha; ``evaluate`` checks their classes
-and rows against the p-values and does not grade them.
+probabilities of a classifier it fits. Each report grades a method from its
+sets alone; flow's p-values feed only the KS checks and the histograms. The
+sets files are ``predict``'s output for users, made at predict's alpha;
+``evaluate`` checks their classes and rows against the p-values and does not
+grade them.
 
 The config is checked against one typed schema (``_SCHEMA``) before any
 stage runs. Exit codes: 0 success, 1 usage or configuration error (an
@@ -253,9 +255,18 @@ class ExperimentConfig:
         _checked("model.train", TrainConfig, **train)
 
         rates = v["contamination"]["rates"]
-        if not rates or len(set(rates)) != len(rates) or not all(0.0 <= r < 1.0 for r in rates):
-            raise ConfigError(f"contamination.rates must be one or more distinct rates in "
-                              f"[0, 1), got {list(rates)}")
+        if not rates or not all(0.0 <= r < 1.0 for r in rates):
+            raise ConfigError(f"contamination.rates must be one or more rates in [0, 1), "
+                              f"got {list(rates)}")
+        # an arm's files are named by its token, so no two rates may share one
+        arms = {}
+        for rate in rates:
+            token = cls.rate_token(rate)
+            if token in arms:
+                raise ConfigError(f"contamination.rates {arms[token]!r} and {rate!r} both name "
+                                  f"the arm {token}; rates must differ in the first six "
+                                  f"significant digits of their percentage")
+            arms[token] = rate
 
         base = v["baselines"]
         enabled = base.pop("enabled")
@@ -282,7 +293,9 @@ class ExperimentConfig:
     def path(self, *parts: str) -> str:
         return os.path.join(self.out_dir, *parts)
 
-    def rate_token(self, rate: float) -> str:
+    @staticmethod
+    def rate_token(rate: float) -> str:
+        """Arm token of a rate in percent, to six significant digits: c0, c5, c12_5."""
         return "c" + format(rate * 100, "g").replace(".", "_")
 
     def test_csv(self, rate: float) -> str:
@@ -550,12 +563,14 @@ def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
 def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str]:
     _ensure_dirs(cfg)
     models = _load_models(cfg)
-    pools = load_pools(cfg.path("pools", "pools.csv"))
-    by_label = {p.class_label: p for p in pools}
-    try:
-        pools = [by_label[m.class_label] for m in models]
-    except KeyError as exc:
-        raise DataError(f"no score pool for class {exc.args[0]}") from None
+    pool_path = cfg.path("pools", "pools.csv")
+    pools = load_pools(pool_path)
+    # both lists are in ascending class order
+    pool_classes = [p.class_label for p in pools]
+    model_classes = [m.class_label for m in models]
+    if pool_classes != model_classes:
+        raise DataError(f"{pool_path} holds classes {pool_classes}, the models are of classes "
+                        f"{model_classes}; rerun calibrate")
     norm = _load_normalizer(cfg)
     written = []
     if test_file is not None:
@@ -583,7 +598,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
         graded = itertools.chain(graded, _baseline_sets(cfg, tests, written))
     for method, rate, test, labels, sets, matrix in graded:
         token = cfg.rate_token(rate)
-        report = build_report(sets, test.labels, cfg.conformal.alpha, labels, p_matrix=matrix)
+        report = build_report(sets, test.labels, labels, p_matrix=matrix)
         rp = cfg.path("reports", f"report_{method}_{token}.json")
         emit_report(report, rp)
         written.append(rp)

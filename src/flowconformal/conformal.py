@@ -195,6 +195,6 @@ def load_sets(path: str):
     bad = (fields != 0) & (fields != 1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise DataError(f"{path}: sample {i} holds {fields[i, j]:g} in column "
+        raise DataError(f"{path}: data row {i + 1} holds {fields[i, j]:g} in column "
                         f"in_{labels[j]}; expected 0 or 1")
     return labels, fields == 1

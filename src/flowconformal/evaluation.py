@@ -9,6 +9,10 @@ is the literal mean of |set| - 1{outlier} (which scores 1, not 0, for ideal
 singleton inlier sets and can go negative on outliers), and
 ``size_error_excess`` charges |set| - 1 on inliers and |set| on outliers so
 the ideal value is 0.
+
+Every method is graded from its sets alone, by the rule that built them: a
+class's type-I rate is the share of its own test rows whose set lacks it.
+P-values, when given, feed only the KS uniformity check.
 """
 
 from __future__ import annotations
@@ -124,11 +128,12 @@ def ks_uniformity(p_values: np.ndarray, level: float = 0.01) -> KsResult:
 
 
 def empirical_type1(p_values: np.ndarray, alpha: float) -> float:
-    """Fraction of p-values at or below alpha."""
+    """Fraction of p-values below alpha: the rows whose set at alpha, which
+    keeps a class when p >= alpha, would drop the class."""
     x = np.asarray(p_values, dtype=np.float64)
     if x.size == 0:
         raise DataError("need at least one p-value")
-    return float(np.mean(x <= alpha))
+    return float(np.mean(x < alpha))
 
 
 @dataclass(frozen=True)
@@ -168,15 +173,15 @@ class EvalReport:
         return asdict(self)
 
 
-def build_report(sets, labels, alpha: float, class_labels,
-                 p_matrix: np.ndarray | None = None, ks_level: float = 0.01) -> EvalReport:
+def build_report(sets, labels, class_labels, p_matrix: np.ndarray | None = None,
+                 ks_level: float = 0.01) -> EvalReport:
     """Assemble the full metric report for one test arm.
 
     The columns of the membership matrix ``sets`` and of ``p_matrix`` follow
-    ``class_labels``. With a p-value matrix, per-class type-I rates and KS
-    uniformity checks come from the p-values of each class's own test rows;
-    otherwise type-I rates fall back to set membership and the KS section
-    stays empty.
+    ``class_labels``. Every rate comes from the sets: a class's type-I rate is
+    the share of its own test rows whose set lacks it. With a p-value matrix,
+    each class with at least 20 own rows also gets a KS uniformity check of
+    its own-class p-values; otherwise the KS section stays empty.
     """
     sets, labels = _check_aligned(sets, labels)
     inlier = labels != OUTLIER
@@ -198,20 +203,10 @@ def build_report(sets, labels, alpha: float, class_labels,
         own = labels == cls
         if not np.any(own):
             continue
-        if p_matrix is not None:
-            own_p = p_matrix[own, j]
-            report.type1_per_class.append(
-                {"class": cls, "rate": empirical_type1(own_p, alpha)}
-            )
-            if own_p.size >= 20:
-                res = ks_uniformity(own_p, ks_level)
-                report.ks.append(
-                    {"class": cls, "stat": res.statistic, "reject": res.reject}
-                )
-        else:
-            report.type1_per_class.append(
-                {"class": cls, "rate": float(np.mean(~sets[own, j]))}
-            )
+        report.type1_per_class.append({"class": cls, "rate": float(np.mean(~sets[own, j]))})
+        if p_matrix is not None and np.count_nonzero(own) >= 20:
+            res = ks_uniformity(p_matrix[own, j], ks_level)
+            report.ks.append({"class": cls, "stat": res.statistic, "reject": res.reject})
 
     n_out = int(np.sum(~inlier))
     if n_out > 0:

@@ -657,6 +657,25 @@ def test_run_experiment_matches_the_golden_digests(tmp_path, monkeypatch):
     assert _tree_digest(tmp_path / "out") == GOLDEN_RUN_DIGESTS
 
 
+# sha256 of every file run-experiment writes for the full-size benchmark
+# workloads at seed 3, their inputs built by perfbench/workloads.py, in the
+# form perfbench's tree_digest takes; recorded on GOLDEN_RUN_MACHINE.
+GOLDEN_WORKLOAD_DIGESTS = os.path.join(REPO, "tests", "golden_workload_digests.json")
+
+
+@pytest.mark.parametrize("workload", ["readme", "scoring", "idx-wide"])
+def test_benchmark_workloads_match_the_golden_digests(tmp_path, monkeypatch, workload):
+    machine = _run_machine()
+    if machine != GOLDEN_RUN_MACHINE:
+        pytest.skip(f"digests recorded on {GOLDEN_RUN_MACHINE}, this is {machine}")
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _load_workloads().write_inputs(workload, 3, False, str(tmp_path))
+    assert main(["run-experiment", "--config", cfg_path]) == 0
+    with open(GOLDEN_WORKLOAD_DIGESTS) as fh:
+        golden = json.load(fh)[workload]
+    assert _tree_digest(tmp_path / "out") == golden
+
+
 def test_no_stage_imports_numpy_ma(tmp_path):
     # a plain np.unique imports numpy.ma, ~10 ms of every stage's start-up,
     # to ask whether its input is masked; each stage runs in a fresh process
@@ -993,6 +1012,25 @@ def test_predict_exits_two_naming_the_pool_file_of_a_bad_row(pipeline, tmp_path)
         2, f"error: {path}: class_label must be positive, got 0\n")
 
 
+@pytest.mark.parametrize("edit, classes", [
+    (lambda rows: [row for row in rows if not row.startswith("2,")], [1]),
+    (lambda rows: [*rows, "3," + rows[0].split(",", 1)[1]], [1, 2, 3]),
+], ids=["missing", "extra"])
+def test_predict_exits_two_when_pool_classes_differ_from_the_models(pipeline, tmp_path,
+                                                                    edit, classes):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "pools" / "pools.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    assert _stage(cfg_path, copy, "predict") == (
+        2, f"error: {path} holds classes {classes}, the models are of classes [1, 2]; "
+           f"rerun calibrate\n")
+    for pred in (out / "predictions").iterdir():
+        assert (copy / "predictions" / pred.name).read_bytes() == pred.read_bytes()
+
+
 @pytest.mark.parametrize("header", ["in_2,in_1", "in_1,in_7", "in_1,in_2,in_3", "in_1"])
 def test_evaluate_exits_two_when_set_classes_differ_from_the_p_values(pipeline, tmp_path,
                                                                       header):
@@ -1129,6 +1167,26 @@ def test_contamination_override_replaces_rates(tmp_path):
          "--contamination-rate", "0.0", "--contamination-rate", "0.2"])
     cfg = load_config(cfg_path, args)
     assert cfg.rates == (0.0, 0.2)
+
+
+@pytest.mark.parametrize("via", ["config", "flags"])
+@pytest.mark.parametrize("rates, token", [
+    ([0.123456789, 0.1234567891], "c12_3457"),
+    ([0.1, 0.1], "c10"),
+])
+def test_rates_that_share_an_arm_token_exit_one(tmp_path, capsys, via, rates, token):
+    if via == "config":
+        cfg_path, out = write_config(tmp_path, contamination={"rates": rates})
+        flags = []
+    else:
+        cfg_path, out = write_config(tmp_path)
+        flags = [arg for rate in rates for arg in ("--contamination-rate", repr(rate))]
+    assert main(["run-experiment", "--config", cfg_path, *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: contamination.rates {rates[0]!r} and {rates[1]!r} both name the arm "
+        f"{token}; rates must differ in the first six significant digits of their "
+        f"percentage\n")
+    assert not out.exists()
 
 
 # -- IDX ingestion through the pipeline -------------------------------------------------------

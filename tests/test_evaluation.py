@@ -117,8 +117,9 @@ def test_ks_uniformity_input_validation():
         ks_statistic(np.array([]), lambda v: v)
 
 
-def test_empirical_type1_counts_at_or_below_alpha():
-    assert empirical_type1(np.array([0.01, 0.04, 0.05, 0.5]), 0.05) == 0.75
+def test_empirical_type1_counts_below_alpha():
+    # p = alpha keeps the class in its set, so it is no type-I error
+    assert empirical_type1(np.array([0.01, 0.04, 0.05, 0.5]), 0.05) == 0.5
     with pytest.raises(DataError, match="at least one"):
         empirical_type1(np.array([]), 0.05)
 
@@ -177,7 +178,7 @@ def _report_fixture():
 
 def test_build_report_schema_and_ranges():
     sets, labels, pmat = _report_fixture()
-    rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2, 3), p_matrix=pmat)
+    rep = build_report(sets, labels, class_labels=(1, 2, 3), p_matrix=pmat)
     doc = rep.to_dict()
     assert set(doc) == {"coverage", "size_error_paper", "size_error_excess",
                         "type1_per_class", "outlier_detection_rate", "ks", "counts"}
@@ -190,13 +191,13 @@ def test_build_report_schema_and_ranges():
                              "per_class": {"1": 2, "2": 1, "3": 0}}
 
 
-def test_build_report_type1_from_p_values():
+def test_build_report_type1_from_sets_with_p_values():
     sets, labels, pmat = _report_fixture()
-    rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2, 3), p_matrix=pmat)
+    rep = build_report(sets, labels, class_labels=(1, 2, 3), p_matrix=pmat)
     by_class = {row["class"]: row["rate"] for row in rep.type1_per_class}
-    # class 1 rows have own-class p-values 0.50 and 0.30, none <= 0.05
+    # both class 1 rows hold class 1 in their sets
     assert by_class[1] == 0.0
-    # the class 2 row has own-class p-value 0.40
+    # so does the class 2 row
     assert by_class[2] == 0.0
     assert 3 not in by_class  # no class-3 test rows
     # ks entries need >= 20 rows per class; this fixture has too few
@@ -206,7 +207,7 @@ def test_build_report_type1_from_p_values():
 def test_build_report_type1_from_set_membership_without_p_values():
     sets = sets_of((1,), (2,), (1, 2), (2,), classes=(1, 2))
     labels = np.array([1, 1, 2, 2])
-    rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2))
+    rep = build_report(sets, labels, class_labels=(1, 2))
     by_class = {row["class"]: row["rate"] for row in rep.type1_per_class}
     assert by_class[1] == 0.5
     assert by_class[2] == 0.0
@@ -219,7 +220,7 @@ def test_build_report_ks_present_with_enough_rows():
     sets = sets_of(*[(1,)] * n, classes=(1,))
     labels = np.ones(n, dtype=int)
     pmat = rng.uniform(size=(n, 1))
-    rep = build_report(sets, labels, alpha=0.05, class_labels=(1,), p_matrix=pmat)
+    rep = build_report(sets, labels, class_labels=(1,), p_matrix=pmat)
     assert len(rep.ks) == 1
     assert rep.ks[0]["class"] == 1
     assert not rep.ks[0]["reject"]
@@ -238,26 +239,53 @@ def _graded_arms(draw):
     return sets, labels, pmat, classes
 
 
-@given(_graded_arms(), st.floats(0.01, 0.99), st.data())
-def test_build_report_is_independent_of_row_order(arm, alpha, data):
+@given(_graded_arms(), st.data())
+def test_build_report_is_independent_of_row_order(arm, data):
     sets, labels, pmat, classes = arm
     order = np.array(data.draw(st.permutations(range(labels.size))))
     for p_matrix in (pmat, None):
-        before = build_report(sets, labels, alpha, classes, p_matrix=p_matrix)
-        after = build_report(sets[order], labels[order], alpha, classes,
+        before = build_report(sets, labels, classes, p_matrix=p_matrix)
+        after = build_report(sets[order], labels[order], classes,
                              p_matrix=None if p_matrix is None else p_matrix[order])
         assert after.to_dict() == before.to_dict()
+
+
+@given(_graded_arms())
+def test_build_report_grades_type1_from_the_sets_alone(arm):
+    sets, labels, pmat, classes = arm
+    bare = build_report(sets, labels, classes).to_dict()
+    with_p = build_report(sets, labels, classes, p_matrix=pmat).to_dict()
+    want = [{"class": cls, "rate": float(np.mean(~sets[labels == cls, j]))}
+            for j, cls in enumerate(classes) if np.any(labels == cls)]
+    assert bare["type1_per_class"] == want
+    assert bare["ks"] == []
+    # the p-values add the KS section and change nothing else
+    assert {**with_p, "ks": []} == bare
+
+
+def test_own_class_p_value_at_alpha_is_covered_and_no_type1_error():
+    # a 19-score pool gives smoothed p-values k/20; a row scoring above the
+    # whole pool gets p = 1/20 = alpha, which keeps its class in the set
+    alpha = 0.05
+    pool = ScorePool(1, np.arange(1.0, 20.0))
+    pmat = np.array([[p_value(pool, 25.0)]])
+    assert pmat[0, 0] == alpha
+    sets = predictive_set(pmat, alpha)
+    assert sets.tolist() == [[True]]
+    rep = build_report(sets, np.array([1]), (1,), p_matrix=pmat)
+    assert rep.coverage == 1.0
+    assert rep.type1_per_class == [{"class": 1, "rate": 0.0}]
 
 
 def test_build_report_rejects_misshaped_p_matrix():
     sets, labels, pmat = _report_fixture()
     with pytest.raises(DataError, match="shape"):
-        build_report(sets, labels, alpha=0.05, class_labels=(1, 2), p_matrix=pmat)
+        build_report(sets, labels, class_labels=(1, 2), p_matrix=pmat)
 
 
 def test_emit_report_writes_expected_json(tmp_path):
     sets, labels, pmat = _report_fixture()
-    rep = build_report(sets, labels, alpha=0.05, class_labels=(1, 2, 3), p_matrix=pmat)
+    rep = build_report(sets, labels, class_labels=(1, 2, 3), p_matrix=pmat)
     path = tmp_path / "report.json"
     emit_report(rep, str(path))
     text = path.read_text()

@@ -184,11 +184,11 @@ def test_header_errors_name_the_column(tmp_path):
 @pytest.mark.parametrize("token", ["", "1|1", "1|x", "2", "0.5", "nan", "-1"])
 def test_sets_reject_malformed_tokens(tmp_path, token):
     # a field that is no float names its line; a float other than 0 or 1
-    # names its sample and column
+    # names its data row and column
     path = tmp_path / "s.csv"
     path.write_text(f"sample_id,in_3,in_5\n0,1,0\n1,0,{token}\n")
     with pytest.raises(DataError, match="s.csv:3: " if token in ("", "1|1", "1|x") else
-                       f"s.csv: sample 1 holds {token} in column in_5; expected 0 or 1"):
+                       f"s.csv: data row 2 holds {token} in column in_5; expected 0 or 1"):
         load_sets(str(path))
 
 
