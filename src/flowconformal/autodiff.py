@@ -11,6 +11,10 @@ d(result)/d(input) into the ``.grad`` of every tensor created with
 feeding two branches gets both contributions. All buffers are float64 and
 every op is a deterministic numpy call, so repeated runs from identical
 inputs are bit-identical.
+
+``ACTIVATION_TABLE`` maps each activation tag to ``(forward, backward)``:
+``forward(z)`` gives y = f(z), and ``backward(g, y)`` gives g * f'(z) from
+the output y alone, so a node that applies one need not keep z.
 """
 
 from __future__ import annotations
@@ -29,24 +33,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-# Activation tag -> (forward f(x), backward (g, x, y) -> g * f'(x) with y = f(x)).
-# Each entry is a cheaper numpy form of the plain formula kept as the oracle in
-# tests/tape_oracle.py, and gives every element by the same float operations,
-# rounding and signed zeros included: max(x, 0.2x) picks x or 0.2x exactly
-# where where(x > 0, x, 0.2x) does, and the relu mask multiplies g by 1.0 or
-# 0.0 as g * (x > 0) does, casting the mask before the product rather than
-# inside it, which numpy does faster.
+# Activation tag -> (forward f(z), backward (g, y) -> g * f'(z) with y = f(z)).
+# A backward reads the layer's output alone, so a network keeps no
+# pre-activation for it: relu and leaky relu read the sign of z from y, since
+# y > 0 exactly where z > 0 (at z = +-0.0 too, and where 0.2z underflows to
+# -0.0), and tanh and sigmoid are functions of y. Each entry is a cheaper numpy
+# form of the plain formula kept as the oracle in tests/tape_oracle.py, and
+# gives every element by the same float operations, rounding and signed zeros
+# included: max(z, 0.2z) picks z or 0.2z exactly where where(z > 0, z, 0.2z)
+# does, and the relu mask multiplies g by 1.0 or 0.0 as g * (z > 0) does,
+# casting the mask before the product rather than inside it, which numpy does
+# faster.
 ACTIVATION_TABLE = {
-    "relu": (lambda x: np.maximum(x, 0.0),
-             lambda g, x, y: g * (x > 0).astype(np.float64)),
-    "leaky-relu": (lambda x: np.maximum(x, _LEAKY_SLOPE * x),
-                   lambda g, x, y: np.where(x > 0, g, g * _LEAKY_SLOPE)),
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda g, y: g * (y > 0).astype(np.float64)),
+    "leaky-relu": (lambda z: np.maximum(z, _LEAKY_SLOPE * z),
+                   lambda g, y: np.where(y > 0, g, g * _LEAKY_SLOPE)),
     "tanh": (np.tanh,
-             lambda g, x, y: g * (1.0 - y * y)),
+             lambda g, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid,
-                lambda g, x, y: g * y * (1.0 - y)),
-    "identity": (lambda x: x,
-                 lambda g, x, y: g),
+                lambda g, y: g * y * (1.0 - y)),
+    "identity": (lambda z: z,
+                 lambda g, y: g),
 }
 
 

@@ -473,8 +473,10 @@ def _load_normalizer(cfg: ExperimentConfig) -> Normalizer | None:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _apply_norm(norm: Normalizer | None, features: np.ndarray) -> np.ndarray:
-    return norm.apply(features) if norm is not None else features
+def _normalize(norm: Normalizer | None, features: np.ndarray) -> np.ndarray:
+    """``features``, normalized in place when there is a normalizer: each
+    stage normalizes the matrix it loaded and holds no second copy."""
+    return features if norm is None else norm.apply(features, out=features)
 
 
 def cmd_train(cfg: ExperimentConfig) -> list[str]:
@@ -487,10 +489,9 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
         raise DataError("training data has no class rows")
 
     norm = fit_normalizer(train.features) if cfg.normalize else None
-    feats = _apply_norm(norm, train.features)
     arch = FlowArchitecture(input_dim=train.dim, **cfg.model)
     config = TrainConfig(**cfg.train, seed=cfg.seed)
-    trained = train_class_flows(feats, train.labels, arch, config)
+    trained = train_class_flows(_normalize(norm, train.features), train.labels, arch, config)
 
     norm_path = cfg.path("models", "normalizer.json")
     paths = [(cfg.path("models", f"class_{model.class_label}.json"),
@@ -534,8 +535,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     models = _load_models(cfg)
     train = load_dataset_csv(cfg.path("data", "train.csv"))
-    norm = _load_normalizer(cfg)
-    feats = _apply_norm(norm, train.features)
+    feats = _normalize(_load_normalizer(cfg), train.features)
     pools = []
     for model in models:
         own = feats[train.labels == model.class_label]
@@ -550,8 +550,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
 
 def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
                  token: str) -> list[str]:
-    test = load_dataset_csv(test_path)
-    feats = _apply_norm(norm, test.features)
+    feats = _normalize(norm, load_dataset_csv(test_path).features)
     labels, matrix = p_value_matrix(models, pools, feats, cfg.conformal.p_value_mode)
     pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
     save_p_values(pv_path, labels, matrix)
@@ -638,31 +637,33 @@ def _flow_sets(cfg: ExperimentConfig, tests: list[LabeledDataset]):
 
 def _baseline_sets(cfg: ExperimentConfig, tests: list[LabeledDataset], written: list[str]):
     """Fit the classifier, then per arm write its probabilities (paths to ``written``)
-    and yield its scaling and APS graded rows; ``tests`` follows ``cfg.rates``."""
-    train = load_dataset_csv(cfg.path("data", "train.csv"))
-    calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
+    and yield its scaling and APS graded rows; ``tests`` follows ``cfg.rates``,
+    and each arm's features are normalized in place."""
     norm = _load_normalizer(cfg)
-    if calib.n > 0:
-        clf_train, aps_cal = train, calib
-    else:
-        frac = cfg.calibration_fraction
-        clf_train, aps_cal, _ = split_stratified(train, (1.0 - frac, frac, 0.0),
-                                                 cfg.seed + 60_000)
-    clf = train_softmax_classifier(_apply_norm(norm, clf_train.features),
-                                   clf_train.labels, cfg.classifier,
-                                   seed=cfg.seed + 70_000)
-    class_labels = clf.class_labels
-    cal_probs = clf.predict_proba(_apply_norm(norm, aps_cal.features))
-    cal = aps_calibrate(cal_probs, aps_cal.labels, class_labels, cfg.conformal.alpha)
-
+    clf, cal = _fit_classifier(cfg, norm)
     for rate, test in zip(cfg.rates, tests):
         token = cfg.rate_token(rate)
-        probs = clf.predict_proba(_apply_norm(norm, test.features))
+        probs = clf.predict_proba(_normalize(norm, test.features))
         pp = cfg.path("predictions", f"probs_{token}.csv")
-        save_prob_matrix(pp, class_labels, probs)
+        save_prob_matrix(pp, clf.class_labels, probs)
         written.append(pp)
-        yield "scaling", rate, test, class_labels, scaling_set(probs, cfg.conformal.alpha), None
-        yield "aps", rate, test, class_labels, aps_set(probs, cal), None
+        yield "scaling", rate, test, clf.class_labels, scaling_set(probs, cfg.conformal.alpha), None
+        yield "aps", rate, test, clf.class_labels, aps_set(probs, cal), None
+
+
+def _fit_classifier(cfg: ExperimentConfig, norm: Normalizer | None):
+    """(the baselines' classifier, its APS calibration), from the training and
+    calibration rows, which are let go of before any arm is scored."""
+    train = load_dataset_csv(cfg.path("data", "train.csv"))
+    calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
+    if calib.n == 0:
+        frac = cfg.calibration_fraction
+        train, calib, _ = split_stratified(train, (1.0 - frac, frac, 0.0), cfg.seed + 60_000)
+    clf = train_softmax_classifier(_normalize(norm, train.features), train.labels,
+                                   cfg.classifier, seed=cfg.seed + 70_000)
+    del train
+    cal_probs = clf.predict_proba(_normalize(norm, calib.features))
+    return clf, aps_calibrate(cal_probs, calib.labels, clf.class_labels, cfg.conformal.alpha)
 
 
 _STAGES = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,

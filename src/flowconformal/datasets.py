@@ -218,7 +218,9 @@ def load_idx_images(path: str) -> np.ndarray:
             f"but the header promises {need - 16}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    images = pixels.reshape(count, rows * cols).astype(np.float64)
+    images /= 255.0  # in place: the bytes of a plain division, one float array
+    return images
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -292,13 +294,17 @@ class Normalizer:
     mean: np.ndarray
     std: np.ndarray
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
+    def apply(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(features - mean) / std, written into ``out`` when given (which
+        may be ``features`` itself, to normalize a matrix in place)."""
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.mean.shape[0]:
             raise DataError(
                 f"feature shape {x.shape} incompatible with normalizer dim {self.mean.shape[0]}"
             )
-        return (x - self.mean) / self.std
+        out = np.subtract(x, self.mean, out=out)
+        out /= self.std
+        return out
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

@@ -28,7 +28,10 @@ results are bit-identical to that graph's.
 Class models never read each other and each is seeded from its label, so
 ``train_class_flows`` trains each class in its own process, this process
 included, up to four processes per usable CPU, and returns the same models
-as training them in turn.
+as training them in turn. Every process reads the one labelled matrix, which
+forked workers inherit without a copy; a class copies its own rows and draws
+its negatives by index into that matrix, so no process holds a copy of the
+other classes' rows.
 
 ``save_class_flow`` writes a class's label, training config and inverse map,
 the one network a score needs, as one JSON document through
@@ -372,12 +375,16 @@ def train_class_flow(
     class_label: int,
     arch: FlowArchitecture,
     config: TrainConfig,
+    neg_rows: np.ndarray | None = None,
 ) -> tuple[ClassFlowModel, TrainTrace]:
     """Train one class model on its rows, sampling negatives from ``x_neg``.
 
     Minibatches are full-size only: each epoch visits floor(n / batch_size)
     batches of a fresh permutation. Negative rows are drawn per step, without
-    replacement when the pool is large enough.
+    replacement when the pool is large enough. The pool is the rows
+    ``neg_rows`` of ``x_neg``, all of them by default, so a caller holding
+    every class in one matrix passes it with the other classes' row indices
+    and copies none of their rows.
     """
     x_pos = np.asarray(x_pos, dtype=np.float64)
     x_neg = np.asarray(x_neg, dtype=np.float64)
@@ -392,7 +399,9 @@ def train_class_flow(
             f"2 * batch_size = {2 * config.batch_size}"
         )
     use_pred = config.w_pred > 0
-    if use_pred and (x_neg.ndim != 2 or x_neg.shape[0] < 1 or x_neg.shape[1] != arch.input_dim):
+    if neg_rows is None and x_neg.ndim == 2:
+        neg_rows = np.arange(x_neg.shape[0])
+    if use_pred and (x_neg.ndim != 2 or len(neg_rows) < 1 or x_neg.shape[1] != arch.input_dim):
         raise DataError("fine-tuning needs a non-empty pool of other-class rows")
 
     rng = np.random.default_rng(config.seed)
@@ -450,9 +459,9 @@ def train_class_flow(
             disc.zero_grad()
 
             if use_pred:
-                with_replacement = x_neg.shape[0] < batch
-                picks = rng.choice(x_neg.shape[0], size=batch, replace=with_replacement)
-                pred_term = loss_pred_finetune(model, xb, x_neg[picks])
+                with_replacement = len(neg_rows) < batch
+                picks = rng.choice(len(neg_rows), size=batch, replace=with_replacement)
+                pred_term = loss_pred_finetune(model, xb, x_neg[neg_rows[picks]])
                 sums["pred"] += _check_finite(float(pred_term.data), "fine-tune", epoch, step)
                 _weighted_sum([(pred_term, config.w_pred)]).backward()
                 opt_pred.step()
@@ -485,9 +494,11 @@ def _share(features: np.ndarray, labels: np.ndarray) -> None:
 
 
 def _fit_class(features, labels, label, arch, config):
-    own = features[labels == label]
-    other = features[(labels != label) & (labels != OUTLIER)]
-    return train_class_flow(own, other, label, arch, replace(config, seed=config.seed + label))
+    # negatives by index: a copy of the other classes' rows would be most of
+    # the matrix, in every process of the pool
+    others = np.flatnonzero((labels != label) & (labels != OUTLIER))
+    return train_class_flow(features[labels == label], features, label, arch,
+                            replace(config, seed=config.seed + label), others)
 
 
 def _fit_shared(label, arch, config):

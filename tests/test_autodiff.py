@@ -225,4 +225,18 @@ def test_activation_bytes_equal_the_oracle(tag, x, data):
     with np.errstate(all="ignore"):
         y = oracle_forward(x)
         assert _same(forward(x), y)
-        assert _same(backward(g, x, y), oracle_backward(g, x, y))
+        assert _same(backward(g, y), oracle_backward(g, x, y))
+
+
+@pytest.mark.parametrize("tag", list(ACTIVATION_TABLE))
+@pytest.mark.parametrize("z", [0.0, -0.0, -5e-324, -1e-320])
+def test_activation_backward_from_the_output_alone_at_the_kink(tag, z):
+    # the backward sees y, not z: y must be > 0 exactly where z is, at signed
+    # zeros and where 0.2z underflows to -0.0 (z = -5e-324) or not (-1e-320)
+    x = np.full((1, 4), z)
+    g = np.array([[1.5, -1.5, 0.0, -0.0]])
+    forward, backward = ACTIVATION_TABLE[tag]
+    oracle_forward, oracle_backward = ORACLE_ACTIVATIONS[tag]
+    y = oracle_forward(x)
+    assert _same(forward(x), y)
+    assert _same(backward(g, y), oracle_backward(g, x, y))

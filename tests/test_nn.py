@@ -12,9 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import check_mlp_gradients, networks_json
+from flowconformal import nn
 from flowconformal._table import write_json
+from flowconformal.autodiff import Tensor
 from flowconformal.nn import (
     ACTIVATIONS,
     PREDICT_BLOCK,
@@ -318,6 +321,54 @@ def test_fused_node_is_one_tape_node():
     out = net(x)
     assert out._parents == (x, *net.parameters())
     assert all(p._parents == () for p in out._parents)
+
+
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_fused_forward_equals_tape_oracle_through_a_one_unit_output(input_grad):
+    # the discriminator's shape: its last layer's input gradient is the
+    # broadcast product, not the matmul the oracle's graph makes
+    rng = np.random.default_rng(6)
+    net = Mlp(MlpSpec((3, 6, 5, 1), ("leaky-relu", "leaky-relu"), "sigmoid"), rng=rng)
+    x = TapeTensor(rng.normal(size=(9, 3)), requires_grad=input_grad)
+    tensors = net.parameters() + [x]
+    results = []
+    for forward in (Mlp.forward, _tape_forward):
+        forward(net, x).sum().backward()
+        results.append(_grads(tensors))
+        _clear(tensors)
+    _assert_same_grads(*results)
+
+
+# signed zeros, subnormals and ordinary values, so products of either sign
+# and of zero reach the sum
+_ZERO_HEAVY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@given(data=st.data(), n=st.integers(1, 12), k=st.integers(1, 12))
+def test_one_unit_input_gradient_bytes_equal_the_matmul(data, n, k):
+    g = data.draw(arrays(np.float64, (n, 1), elements=_ZERO_HEAVY), label="g")
+    w = data.draw(arrays(np.float64, (k, 1), elements=_ZERO_HEAVY), label="w")
+    assert _same(nn._backprop_input(g, w), g @ w.T)
+
+
+def test_forward_graph_keeps_no_pre_activation():
+    """One forward of 2 -> 48 -> 48 -> 2 at batch 128 leaves behind its input
+    and the three layer outputs; a (128, 48) pre-activation is 48 KiB more."""
+    rng = np.random.default_rng(9)
+    net = Mlp(MlpSpec((2, 48, 48, 2), ("relu", "relu"), "identity"), rng=rng)
+    x = rng.normal(size=(128, 2))
+    # Python objects of the node (the Tensors, closure and saved tuples)
+    objects = 4096
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = net(Tensor(x, requires_grad=True))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= x.nbytes + 128 * (48 + 48 + 2) * 8 + objects, held
 
 
 def _adam_params(rng):

@@ -11,6 +11,7 @@ import concurrent.futures
 import json
 import os
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
@@ -439,11 +440,45 @@ def test_training_with_the_tape_losses_saves_the_same_bytes(monkeypatch, overrid
     assert run() == fused
 
 
+def test_negatives_drawn_by_index_train_the_same_bytes_as_a_copy():
+    rng = np.random.default_rng(12)
+    labels = np.repeat([2, 0, 1, 3], [30, 5, 64, 20])
+    features = rng.normal(size=(labels.size, 2)) + labels[:, None]
+    own, rows = features[labels == 1], np.flatnonzero((labels != 1) & (labels != 0))
+    arch = FlowArchitecture(2, 2, (8,), (8,), (8,))
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=3)
+    by_index = train_class_flow(own, features, 1, arch, cfg, neg_rows=rows)
+    copied = train_class_flow(own, features[rows], 1, arch, cfg)
+    assert networks_json(by_index[0]) == networks_json(copied[0])
+    assert by_index[1].to_dict() == copied[1].to_dict()
+
+
+def test_a_class_fit_copies_none_of_the_other_classes_rows():
+    """Class 1 of a shared 64-D, 3-class matrix trains with an allocation peak
+    below the bytes of the other two classes' rows, which it reads by index.
+    The peak holds class 1's rows (128 KiB) and two steps' graphs."""
+    rng = np.random.default_rng(13)
+    labels = np.repeat([1, 2, 3], [256, 1536, 1536])
+    features = rng.normal(size=(labels.size, 64))
+    arch = FlowArchitecture(64, 2, (8,), (8,), (8,))
+    cfg = TrainConfig(epochs=1, batch_size=32)
+    roundtrip._fit_class(features, labels, 1, arch, cfg)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        roundtrip._fit_class(features, labels, 1, arch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features[labels != 1].nbytes, peak
+
+
 # -- every class of a labelled matrix ----------------------------------------------
 
-def _fake_fit(own, other, label, arch, config):
-    """Stands in for train_class_flow here and in forked workers: says where it ran."""
-    return label, os.getpid(), config.seed, own.shape[0], other.shape[0]
+def _fake_fit(own, other, label, arch, config, neg_rows=None):
+    """Stands in for train_class_flow here and in forked workers: says where it
+    ran and how many own and negative rows it got."""
+    negatives = other if neg_rows is None else other[neg_rows]
+    return label, os.getpid(), config.seed, own.shape[0], negatives.shape[0]
 
 
 def _labelled(n_classes):
@@ -539,7 +574,7 @@ def _failing_fit(fail, delay=0.0):
     process; classes trained in a worker first sleep ``delay`` seconds."""
     parent = os.getpid()
 
-    def fit(own, other, label, arch, config):
+    def fit(own, other, label, arch, config, neg_rows=None):
         where, make = fail.get(label, (None, None))
         in_worker = os.getpid() != parent
         if in_worker:
@@ -548,7 +583,7 @@ def _failing_fit(fail, delay=0.0):
             if make is None:
                 os._exit(1)
             raise make(f"class {label} failed")
-        return _fake_fit(own, other, label, arch, config)
+        return _fake_fit(own, other, label, arch, config, neg_rows)
 
     return fit
 
@@ -580,12 +615,12 @@ def test_a_dead_worker_names_every_unfinished_class(monkeypatch, pools_made):
     # theirs: the pool cannot say whose process died, so all three are named
     parent = os.getpid()
 
-    def fit(own, other, label, arch, config):
+    def fit(own, other, label, arch, config, neg_rows=None):
         if os.getpid() != parent:
             if label == 4:
                 os._exit(1)
             time.sleep(1.0)
-        return _fake_fit(own, other, label, arch, config)
+        return _fake_fit(own, other, label, arch, config, neg_rows)
 
     monkeypatch.setattr(roundtrip, "train_class_flow", fit)
     monkeypatch.setattr(roundtrip, "_usable_cpus", lambda: 2)
