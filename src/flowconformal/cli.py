@@ -17,13 +17,17 @@ can be rerun or tested in isolation:
 one included (``roundtrip.train_class_flows``); the models are the same
 bytes as training the classes one after another.
 
-``evaluate`` grades every method at its own alpha through one report loop:
-flow's sets come from the p-value files, the baselines' from the class
-probabilities of a classifier it fits. Each report grades a method from its
-sets alone; flow's p-values feed only the KS checks and the histograms. The
-sets files are ``predict``'s output for users, made at predict's alpha;
-``evaluate`` checks their classes and rows against the p-values and does not
-grade them.
+``evaluate`` checks that every arm has its predictions and fits the
+baselines' classifier once. Then it grades one test arm at a time and lets
+it go before the next loads: flow's sets come from the arm's p-value file,
+the baselines' from the classifier's probabilities, each at the stage's
+alpha. Each report grades a method from its sets alone; flow's p-values feed
+only the KS checks and the histograms. The sets files are ``predict``'s
+output for users, made at predict's alpha; ``evaluate`` checks their classes
+and rows against the p-values and does not grade them.
+
+``train.csv`` and ``calibration.csv`` hold class rows only: a stage that
+reads an outlier row (label 0) there exits 2, naming the file and the row.
 
 The config is checked against one typed schema (``_SCHEMA``) before any
 stage runs. Exit codes: 0 success, 1 usage or configuration error (an
@@ -35,7 +39,6 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -68,6 +71,7 @@ from .conformal import (
     save_sets,
 )
 from .datasets import (
+    OUTLIER,
     ContaminationSpec,
     LabeledDataset,
     Normalizer,
@@ -454,12 +458,22 @@ def _load_idx_splits(cfg: ExperimentConfig):
         outliers = LabeledDataset(np.empty((0, train_all.dim)), np.empty(0, dtype=np.int64))
         test = test_all
     if frac > 0:
-        train, calib, _ = split_stratified(train_all, (1.0 - frac, frac, 0.0),
-                                           cfg.seed + 50_000)
+        train, calib = split_stratified(train_all, frac, cfg.seed + 50_000)
     else:
         train = train_all
         calib = LabeledDataset(np.empty((0, train_all.dim)), np.empty(0, dtype=np.int64))
     return train, calib, test, outliers
+
+
+def _load_class_rows(path: str) -> LabeledDataset:
+    """The dataset at ``path``, which may hold no outlier row: a model or
+    classifier fit on one would take the outlier token for a class."""
+    ds = load_dataset_csv(path)
+    outliers = np.flatnonzero(ds.labels == OUTLIER)
+    if outliers.size:
+        raise DataError(f"{path}: data row {outliers[0] + 1} has the outlier label "
+                        f"{OUTLIER}; training and calibration rows must be of a class")
+    return ds
 
 
 def _load_normalizer(cfg: ExperimentConfig) -> Normalizer | None:
@@ -484,7 +498,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
     train_path = cfg.path("data", "train.csv")
     if not os.path.exists(train_path):
         raise DataError(f"training data missing: {train_path}; run gen-data first")
-    train = load_dataset_csv(train_path)
+    train = _load_class_rows(train_path)
     if not train.class_labels():
         raise DataError("training data has no class rows")
 
@@ -534,7 +548,7 @@ def _load_models(cfg: ExperimentConfig):
 def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     models = _load_models(cfg)
-    train = load_dataset_csv(cfg.path("data", "train.csv"))
+    train = _load_class_rows(cfg.path("data", "train.csv"))
     feats = _normalize(_load_normalizer(cfg), train.features)
     pools = []
     for model in models:
@@ -588,27 +602,21 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
-    tests = [load_dataset_csv(cfg.test_csv(rate)) for rate in cfg.rates]
-    written, comparison_rows = [], []
-    # one arm's rows at a time, flow's arms first: (method, rate, test arm,
-    # class labels, sets at alpha, p-values or None)
-    graded = _flow_sets(cfg, tests)
+    # every arm's predictions, before the classifier is fit or any report written
+    for rate in cfg.rates:
+        if not all(os.path.exists(path) for path in _prediction_paths(cfg, rate)):
+            raise DataError(f"predictions missing for rate {rate}; run predict first")
+    norm = baseline = None
     if cfg.baselines_enabled:
-        graded = itertools.chain(graded, _baseline_sets(cfg, tests, written))
-    for method, rate, test, labels, sets, matrix in graded:
-        token = cfg.rate_token(rate)
-        report = build_report(sets, test.labels, labels, p_matrix=matrix)
-        rp = cfg.path("reports", f"report_{method}_{token}.json")
-        emit_report(report, rp)
-        written.append(rp)
-        comparison_rows.append((method, rate, report))
-        if matrix is None:
-            continue
-        for j, cls in enumerate(labels):
-            hp = cfg.path("reports", f"hist_{token}_class{cls}.csv")
-            emit_histogram(matrix[test.labels == cls, j], hp)
-            written.append(hp)
-
+        norm = _load_normalizer(cfg)
+        baseline = _fit_classifier(cfg, norm)
+    written, comparison_rows = [], []
+    for rate in cfg.rates:
+        paths, rows = _grade_arm(cfg, rate, norm, baseline)
+        written += paths
+        comparison_rows += rows
+    # flow's row for every rate first, then the baselines' rows rate by rate
+    comparison_rows.sort(key=lambda row: row[0] != "flow")
     cmp_path = cfg.path("reports", "comparison.csv")
     emit_comparison(comparison_rows, cmp_path)
     written.append(cmp_path)
@@ -616,49 +624,60 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
-def _flow_sets(cfg: ExperimentConfig, tests: list[LabeledDataset]):
-    """Flow's graded rows: each arm's sets at alpha from predict's p-values."""
-    for rate, test in zip(cfg.rates, tests):
-        token = cfg.rate_token(rate)
-        pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
-        set_path = cfg.path("predictions", f"sets_{token}.csv")
-        if not (os.path.exists(pv_path) and os.path.exists(set_path)):
-            raise DataError(f"predictions missing for rate {rate}; run predict first")
-        labels, matrix = load_p_values(pv_path)
-        # predict's sets, made at its own alpha, are not graded; their classes and
-        # rows must match the p-values', so outputs of two runs do not mix
-        set_labels, saved = load_sets(set_path)
-        if set_labels != labels:
-            raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
-        if saved.shape[0] != test.n or matrix.shape[0] != test.n:
-            raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
-        yield "flow", rate, test, labels, predictive_set(matrix, cfg.conformal.alpha), matrix
+def _prediction_paths(cfg: ExperimentConfig, rate: float) -> tuple[str, str]:
+    token = cfg.rate_token(rate)
+    return (cfg.path("predictions", f"pvalues_{token}.csv"),
+            cfg.path("predictions", f"sets_{token}.csv"))
 
 
-def _baseline_sets(cfg: ExperimentConfig, tests: list[LabeledDataset], written: list[str]):
-    """Fit the classifier, then per arm write its probabilities (paths to ``written``)
-    and yield its scaling and APS graded rows; ``tests`` follows ``cfg.rates``,
-    and each arm's features are normalized in place."""
-    norm = _load_normalizer(cfg)
-    clf, cal = _fit_classifier(cfg, norm)
-    for rate, test in zip(cfg.rates, tests):
-        token = cfg.rate_token(rate)
+def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, baseline):
+    """(paths written, comparison rows) of one test arm: each method's report,
+    flow's histograms and, with ``baseline`` (the classifier and its APS
+    calibration), the arm's probabilities. The arm goes when this returns."""
+    token = cfg.rate_token(rate)
+    pv_path, set_path = _prediction_paths(cfg, rate)
+    test = load_dataset_csv(cfg.test_csv(rate))
+    labels, matrix = load_p_values(pv_path)
+    # predict's sets, made at its own alpha, are not graded; their classes and
+    # rows must match the p-values', so outputs of two runs do not mix
+    set_labels, saved = load_sets(set_path)
+    if set_labels != labels:
+        raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
+    if saved.shape[0] != test.n or matrix.shape[0] != test.n:
+        raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
+
+    written = []
+    # (method, class labels, sets at alpha, p-values or None)
+    graded = [("flow", labels, predictive_set(matrix, cfg.conformal.alpha), matrix)]
+    if baseline is not None:
+        clf, cal = baseline
         probs = clf.predict_proba(_normalize(norm, test.features))
         pp = cfg.path("predictions", f"probs_{token}.csv")
         save_prob_matrix(pp, clf.class_labels, probs)
         written.append(pp)
-        yield "scaling", rate, test, clf.class_labels, scaling_set(probs, cfg.conformal.alpha), None
-        yield "aps", rate, test, clf.class_labels, aps_set(probs, cal), None
+        graded += [("scaling", clf.class_labels, scaling_set(probs, cfg.conformal.alpha), None),
+                   ("aps", clf.class_labels, aps_set(probs, cal), None)]
+    rows = []
+    for method, classes, sets, p_matrix in graded:
+        report = build_report(sets, test.labels, classes, p_matrix=p_matrix)
+        rp = cfg.path("reports", f"report_{method}_{token}.json")
+        emit_report(report, rp)
+        written.append(rp)
+        rows.append((method, rate, report))
+    for j, cls in enumerate(labels):
+        hp = cfg.path("reports", f"hist_{token}_class{cls}.csv")
+        emit_histogram(matrix[test.labels == cls, j], hp)
+        written.append(hp)
+    return written, rows
 
 
 def _fit_classifier(cfg: ExperimentConfig, norm: Normalizer | None):
     """(the baselines' classifier, its APS calibration), from the training and
     calibration rows, which are let go of before any arm is scored."""
-    train = load_dataset_csv(cfg.path("data", "train.csv"))
-    calib = load_dataset_csv(cfg.path("data", "calibration.csv"))
+    train = _load_class_rows(cfg.path("data", "train.csv"))
+    calib = _load_class_rows(cfg.path("data", "calibration.csv"))
     if calib.n == 0:
-        frac = cfg.calibration_fraction
-        train, calib, _ = split_stratified(train, (1.0 - frac, frac, 0.0), cfg.seed + 60_000)
+        train, calib = split_stratified(train, cfg.calibration_fraction, cfg.seed + 60_000)
     clf = train_softmax_classifier(_normalize(norm, train.features), train.labels,
                                    cfg.classifier, seed=cfg.seed + 70_000)
     del train

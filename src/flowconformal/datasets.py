@@ -252,39 +252,24 @@ def load_idx_dataset(images_path: str, labels_path: str) -> LabeledDataset:
 
 # -- splits and normalization ---------------------------------------------------
 
-def split_stratified(
-    ds: LabeledDataset,
-    fractions: tuple[float, float, float],
-    seed,
-) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Shuffle and split per class by fractions summing to 1.
+def split_stratified(ds: LabeledDataset, fraction: float,
+                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """(kept, held): each class's rows in a seeded shuffle, the first
+    round((1 - fraction) * n) of them kept and the rest held out.
 
-    Outlier-labeled rows, if present, all land in the last (test) split.
-    ``seed`` may be an int or a numpy Generator.
+    Outlier-labeled rows land in neither part.
     """
-    fracs = tuple(float(f) for f in fractions)
-    if len(fracs) != 3 or any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be 3 non-negative values summing to 1, got {fracs}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"fraction must lie in [0, 1], got {fraction}")
+    rng = np.random.default_rng(seed)
+    kept, held = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for label in ds.class_labels():
         idx = np.flatnonzero(ds.labels == label)
         idx = idx[rng.permutation(idx.shape[0])]
-        n = idx.shape[0]
-        b1 = int(round(fracs[0] * n))
-        b2 = int(round((fracs[0] + fracs[1]) * n))
-        parts[0].append(idx[:b1])
-        parts[1].append(idx[b1:b2])
-        parts[2].append(idx[b2:])
-    out_idx = np.flatnonzero(ds.labels == OUTLIER)
-    if out_idx.size:
-        parts[2].append(out_idx)
-    result = []
-    for chunk in parts:
-        sel = np.concatenate(chunk) if chunk else np.empty(0, dtype=np.int64)
-        result.append(ds.take(sel) if sel.size else
-                      LabeledDataset(np.empty((0, ds.dim)), np.empty(0, dtype=np.int64)))
-    return result[0], result[1], result[2]
+        cut = int(round((1.0 - fraction) * idx.shape[0]))
+        kept.append(idx[:cut])
+        held.append(idx[cut:])
+    return ds.take(np.concatenate(kept)), ds.take(np.concatenate(held))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "ks_statistic",
     "ks_critical_value",
     "ks_uniformity",
-    "empirical_type1",
     "Chi2MomentReport",
     "chi2_moment_check",
     "EvalReport",
@@ -125,15 +124,6 @@ def ks_uniformity(p_values: np.ndarray, level: float = 0.01) -> KsResult:
     stat = ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0))
     crit = ks_critical_value(x.size, level)
     return KsResult(stat, int(x.size), level, crit, stat > crit)
-
-
-def empirical_type1(p_values: np.ndarray, alpha: float) -> float:
-    """Fraction of p-values below alpha: the rows whose set at alpha, which
-    keeps a class when p >= alpha, would drop the class."""
-    x = np.asarray(p_values, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("need at least one p-value")
-    return float(np.mean(x < alpha))
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import MISSING
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowconformal import baselines, roundtrip
+from flowconformal import baselines, cli, roundtrip
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_sets
 from flowconformal.datasets import load_dataset_csv
@@ -958,14 +959,73 @@ def test_comparison_table_layout(pipeline):
     lines = (out / "reports" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "method,rate,coverage,size_error_paper,size_error_excess"
     rows = [line.split(",") for line in lines[1:]]
-    assert {(r[0], r[1]) for r in rows} == {
+    # flow's row for every rate first, then the baselines' rows rate by rate
+    assert [(r[0], r[1]) for r in rows] == [
         ("flow", "0"), ("flow", "0.1"),
-        ("scaling", "0"), ("scaling", "0.1"),
-        ("aps", "0"), ("aps", "0.1"),
-    }
+        ("scaling", "0"), ("aps", "0"),
+        ("scaling", "0.1"), ("aps", "0.1"),
+    ]
     for r in rows:
         assert 0.0 <= float(r[2]) <= 1.0
         float(r[3]), float(r[4])
+
+
+def test_evaluate_holds_one_test_arm_at_a_time(pipeline, tmp_path, monkeypatch):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    arms = []
+
+    def load(path):
+        ds = load_dataset_csv(path)
+        if os.path.basename(path).startswith("test_"):
+            assert all(arm() is None for arm in arms), f"{path} loads while another arm is held"
+            arms.append(weakref.ref(ds))
+        return ds
+
+    monkeypatch.setattr(cli, "load_dataset_csv", load)
+    assert _stage(cfg_path, copy, "evaluate") == (0, "")
+    assert len(arms) == 2
+    for path in (out / "reports").iterdir():
+        assert (copy / "reports" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("table", ["pvalues", "sets"])
+def test_evaluate_exits_two_naming_an_arm_without_predictions_before_any_work(
+        pipeline, tmp_path, monkeypatch, table):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    shutil.rmtree(copy / "reports")
+    (copy / "predictions" / f"{table}_c10.csv").unlink()
+
+    def fit(*args, **kwargs):
+        raise AssertionError("the classifier was fit")
+
+    monkeypatch.setattr(cli, "train_softmax_classifier", fit)
+    assert _stage(cfg_path, copy, "evaluate") == (
+        2, "error: predictions missing for rate 0.1; run predict first\n")
+    assert list((copy / "reports").iterdir()) == []
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("train", "train.csv"), ("calibrate", "train.csv"),
+    ("evaluate", "train.csv"), ("evaluate", "calibration.csv"),
+])
+def test_stage_exits_two_on_an_outlier_row_in_training_or_calibration_data(
+        pipeline, tmp_path, stage, name):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    header, *rows = (copy / "data" / "train.csv").read_text().splitlines()
+    rows = rows[:8] if name == "calibration.csv" else rows
+    for i in (2, 5):
+        rows[i] = "0," + rows[i].split(",", 1)[1]
+    path = copy / "data" / name
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert _stage(cfg_path, copy, stage) == (
+        2, f"error: {path}: data row 3 has the outlier label 0; training and calibration "
+           f"rows must be of a class\n")
 
 
 def test_evaluate_grades_every_method_at_its_own_alpha(pipeline, tmp_path):

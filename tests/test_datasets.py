@@ -242,55 +242,53 @@ def test_idx_implausible_dimensions(tmp_path):
 
 def test_split_fraction_validation():
     ds = _inliers(30)
-    with pytest.raises(ConfigError, match="summing to 1"):
-        split_stratified(ds, (0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ConfigError, match="summing to 1"):
-        split_stratified(ds, (0.8, 0.3, -0.1), seed=0)
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        split_stratified(ds, 1.5, seed=0)
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        split_stratified(ds, -0.1, seed=0)
 
 
 def test_split_counts_per_class_within_one_of_fractions():
     ds = _inliers(303)  # 101 rows in each of 3 classes
-    tr, cal, te = split_stratified(ds, (0.5, 0.25, 0.25), seed=4)
-    assert tr.n + cal.n + te.n == 303
+    kept, held = split_stratified(ds, 0.25, seed=4)
+    assert kept.n + held.n == 303
     for label in (1, 2, 3):
-        n_tr = int(np.sum(tr.labels == label))
-        n_cal = int(np.sum(cal.labels == label))
-        n_te = int(np.sum(te.labels == label))
-        assert n_tr + n_cal + n_te == 101
-        assert abs(n_tr - 50.5) <= 1
-        assert abs(n_cal - 25.25) <= 1
-        assert abs(n_te - 25.25) <= 1
+        n_kept = int(np.sum(kept.labels == label))
+        n_held = int(np.sum(held.labels == label))
+        assert n_kept + n_held == 101
+        assert n_kept == round(0.75 * 101)
+        assert abs(n_held - 25.25) <= 1
 
 
 def test_split_partitions_rows_exactly():
     rng = np.random.default_rng(6)
     ds = LabeledDataset(rng.standard_normal((60, 2)),
                         1 + (np.arange(60) % 2))
-    tr, cal, te = split_stratified(ds, (0.6, 0.2, 0.2), seed=1)
-    merged = np.vstack([tr.features, cal.features, te.features])
+    kept, held = split_stratified(ds, 0.4, seed=1)
+    merged = np.vstack([kept.features, held.features])
     assert np.array_equal(np.sort(merged, axis=0), np.sort(ds.features, axis=0))
 
 
 def test_split_all_train_fraction():
     ds = _inliers(30)
-    tr, cal, te = split_stratified(ds, (1.0, 0.0, 0.0), seed=0)
-    assert tr.n == 30 and cal.n == 0 and te.n == 0
+    kept, held = split_stratified(ds, 0.0, seed=0)
+    assert kept.n == 30 and held.n == 0
 
 
-def test_split_routes_outliers_to_test():
+def test_split_leaves_outliers_out():
     feats = np.vstack([np.zeros((10, 1)), np.ones((4, 1))])
     labels = np.concatenate([np.ones(10, dtype=int), np.zeros(4, dtype=int)])
     ds = LabeledDataset(feats, labels)
-    tr, cal, te = split_stratified(ds, (0.5, 0.25, 0.25), seed=0)
-    assert not np.any(tr.labels == OUTLIER)
-    assert not np.any(cal.labels == OUTLIER)
-    assert int(np.sum(te.labels == OUTLIER)) == 4
+    kept, held = split_stratified(ds, 0.5, seed=0)
+    assert not np.any(kept.labels == OUTLIER)
+    assert not np.any(held.labels == OUTLIER)
+    assert kept.n + held.n == 10
 
 
 def test_split_deterministic_per_seed():
     ds = _inliers(90)
-    a = split_stratified(ds, (0.6, 0.2, 0.2), seed=11)
-    b = split_stratified(ds, (0.6, 0.2, 0.2), seed=11)
+    a = split_stratified(ds, 0.4, seed=11)
+    b = split_stratified(ds, 0.4, seed=11)
     for left, right in zip(a, b):
         assert np.array_equal(left.features, right.features)
 

@@ -21,7 +21,6 @@ from flowconformal.evaluation import (
     coverage,
     emit_histogram,
     emit_report,
-    empirical_type1,
     ks_critical_value,
     ks_statistic,
     ks_uniformity,
@@ -115,13 +114,6 @@ def test_ks_uniformity_input_validation():
         ks_uniformity(np.linspace(0.0, 1.5, 30))
     with pytest.raises(DataError, match="non-empty"):
         ks_statistic(np.array([]), lambda v: v)
-
-
-def test_empirical_type1_counts_below_alpha():
-    # p = alpha keeps the class in its set, so it is no type-I error
-    assert empirical_type1(np.array([0.01, 0.04, 0.05, 0.5]), 0.05) == 0.5
-    with pytest.raises(DataError, match="at least one"):
-        empirical_type1(np.array([]), 0.05)
 
 
 def test_chi2_moment_check_accepts_matching_draws():
