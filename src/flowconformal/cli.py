@@ -29,6 +29,13 @@ and rows against the p-values and does not grade them.
 ``train.csv`` and ``calibration.csv`` hold class rows only: a stage that
 reads an outlier row (label 0) there exits 2, naming the file and the row.
 
+Each decision has one source. A missing data, arm or pool file exits 2
+through ``_existing``, naming the file and the stage that writes it. The
+config's ``normalize`` alone decides whether a stage normalizes; a
+``models/normalizer.json`` whose presence disagrees with it exits 2. The
+training rows and the pools must hold the models' classes, and a test arm
+may hold no class that its p-value file lacks.
+
 The config is checked against one typed schema (``_SCHEMA``) before any
 stage runs. Exit codes: 0 success, 1 usage or configuration error (an
 unknown key or a wrongly typed value included), 2 runtime or data error.
@@ -465,10 +472,26 @@ def _load_idx_splits(cfg: ExperimentConfig):
     return train, calib, test, outliers
 
 
+def _existing(path: str, stage: str) -> str:
+    """``path``, an input that ``stage`` writes; DataError when it is missing."""
+    if not os.path.exists(path):
+        raise DataError(f"{path} is missing; run {stage} first")
+    return path
+
+
+def _same_classes(path: str, classes, models, rerun: str) -> None:
+    """DataError, asking to rerun ``rerun``, unless ``path``'s ``classes``
+    (ascending) are the models' classes."""
+    model_classes = [m.class_label for m in models]
+    if list(classes) != model_classes:
+        raise DataError(f"{path} holds classes {list(classes)}, the models are of classes "
+                        f"{model_classes}; rerun {rerun}")
+
+
 def _load_class_rows(path: str) -> LabeledDataset:
     """The dataset at ``path``, which may hold no outlier row: a model or
     classifier fit on one would take the outlier token for a class."""
-    ds = load_dataset_csv(path)
+    ds = load_dataset_csv(_existing(path, "gen-data"))
     outliers = np.flatnonzero(ds.labels == OUTLIER)
     if outliers.size:
         raise DataError(f"{path}: data row {outliers[0] + 1} has the outlier label "
@@ -477,8 +500,13 @@ def _load_class_rows(path: str) -> LabeledDataset:
 
 
 def _load_normalizer(cfg: ExperimentConfig) -> Normalizer | None:
+    """The normalizer ``train`` wrote, or None with ``normalize`` off; a file
+    whose presence disagrees with ``normalize`` is a DataError."""
     path = cfg.path("models", "normalizer.json")
-    if not os.path.exists(path):
+    if os.path.exists(path) != cfg.normalize:
+        state = "is missing but normalize is on" if cfg.normalize else "exists but normalize is off"
+        raise DataError(f"{path} {state}; rerun train")
+    if not cfg.normalize:
         return None
     doc = read_json(path, ("mean", "std"))
     try:
@@ -495,10 +523,7 @@ def _normalize(norm: Normalizer | None, features: np.ndarray) -> np.ndarray:
 
 def cmd_train(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
-    train_path = cfg.path("data", "train.csv")
-    if not os.path.exists(train_path):
-        raise DataError(f"training data missing: {train_path}; run gen-data first")
-    train = _load_class_rows(train_path)
+    train = _load_class_rows(cfg.path("data", "train.csv"))
     if not train.class_labels():
         raise DataError("training data has no class rows")
 
@@ -548,14 +573,12 @@ def _load_models(cfg: ExperimentConfig):
 def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     models = _load_models(cfg)
-    train = _load_class_rows(cfg.path("data", "train.csv"))
+    train_path = cfg.path("data", "train.csv")
+    train = _load_class_rows(train_path)
+    _same_classes(train_path, train.class_labels(), models, "train")
     feats = _normalize(_load_normalizer(cfg), train.features)
-    pools = []
-    for model in models:
-        own = feats[train.labels == model.class_label]
-        if own.shape[0] == 0:
-            raise DataError(f"no training rows for class {model.class_label}")
-        pools.append(build_score_pool(model, own))
+    pools = [build_score_pool(model, feats[train.labels == model.class_label])
+             for model in models]
     p = cfg.path("pools", "pools.csv")
     save_pools(pools, p)
     _finish_stage(cfg, "calibrate", [p])
@@ -566,9 +589,8 @@ def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
                  token: str) -> list[str]:
     feats = _normalize(norm, load_dataset_csv(test_path).features)
     labels, matrix = p_value_matrix(models, pools, feats, cfg.conformal.p_value_mode)
-    pv_path = cfg.path("predictions", f"pvalues_{token}.csv")
+    pv_path, set_path = _prediction_paths(cfg, token)
     save_p_values(pv_path, labels, matrix)
-    set_path = cfg.path("predictions", f"sets_{token}.csv")
     save_sets(set_path, labels, predictive_set(matrix, cfg.conformal.alpha))
     return [pv_path, set_path]
 
@@ -577,13 +599,9 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
     _ensure_dirs(cfg)
     models = _load_models(cfg)
     pool_path = cfg.path("pools", "pools.csv")
-    pools = load_pools(pool_path)
+    pools = load_pools(_existing(pool_path, "calibrate"))
     # both lists are in ascending class order
-    pool_classes = [p.class_label for p in pools]
-    model_classes = [m.class_label for m in models]
-    if pool_classes != model_classes:
-        raise DataError(f"{pool_path} holds classes {pool_classes}, the models are of classes "
-                        f"{model_classes}; rerun calibrate")
+    _same_classes(pool_path, [p.class_label for p in pools], models, "calibrate")
     norm = _load_normalizer(cfg)
     written = []
     if test_file is not None:
@@ -591,10 +609,8 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
         written.extend(_predict_one(cfg, models, pools, norm, test_file, token))
     else:
         for rate in cfg.rates:
-            path = cfg.test_csv(rate)
-            if not os.path.exists(path):
-                raise DataError(f"test arm missing: {path}; run gen-data first")
-            written.extend(_predict_one(cfg, models, pools, norm, path,
+            written.extend(_predict_one(cfg, models, pools, norm,
+                                        _existing(cfg.test_csv(rate), "gen-data"),
                                         cfg.rate_token(rate)))
     _finish_stage(cfg, "predict", written)
     return written
@@ -604,7 +620,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     # every arm's predictions, before the classifier is fit or any report written
     for rate in cfg.rates:
-        if not all(os.path.exists(path) for path in _prediction_paths(cfg, rate)):
+        if not all(map(os.path.exists, _prediction_paths(cfg, cfg.rate_token(rate)))):
             raise DataError(f"predictions missing for rate {rate}; run predict first")
     norm = baseline = None
     if cfg.baselines_enabled:
@@ -624,8 +640,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
-def _prediction_paths(cfg: ExperimentConfig, rate: float) -> tuple[str, str]:
-    token = cfg.rate_token(rate)
+def _prediction_paths(cfg: ExperimentConfig, token: str) -> tuple[str, str]:
+    """The p-value and set files of the arm named ``token``."""
     return (cfg.path("predictions", f"pvalues_{token}.csv"),
             cfg.path("predictions", f"sets_{token}.csv"))
 
@@ -635,16 +651,22 @@ def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, base
     flow's histograms and, with ``baseline`` (the classifier and its APS
     calibration), the arm's probabilities. The arm goes when this returns."""
     token = cfg.rate_token(rate)
-    pv_path, set_path = _prediction_paths(cfg, rate)
-    test = load_dataset_csv(cfg.test_csv(rate))
+    pv_path, set_path = _prediction_paths(cfg, token)
+    test_path = _existing(cfg.test_csv(rate), "gen-data")
+    test = load_dataset_csv(test_path)
     labels, matrix = load_p_values(pv_path)
+    # a row of a class with no p-value column would be graded as never covered
+    unknown = sorted(set(test.class_labels()) - set(labels))
+    if unknown:
+        raise DataError(f"{test_path} holds class {unknown[0]}, which {pv_path} has no "
+                        f"column for")
     # predict's sets, made at its own alpha, are not graded; their classes and
     # rows must match the p-values', so outputs of two runs do not mix
     set_labels, saved = load_sets(set_path)
     if set_labels != labels:
         raise DataError(f"{set_path} has classes {set_labels}; {pv_path} has {labels}")
     if saved.shape[0] != test.n or matrix.shape[0] != test.n:
-        raise DataError(f"prediction row count disagrees with {cfg.test_csv(rate)}")
+        raise DataError(f"prediction row count disagrees with {test_path}")
 
     written = []
     # (method, class labels, sets at alpha, p-values or None)

@@ -16,8 +16,9 @@ keeps each layer's output and nothing else: a layer's input is x or the
 output before it, and the activation backward reads the output alone
 (``autodiff.ACTIVATION_TABLE``), so no pre-activation outlives the forward.
 Its backward walks the layers in reverse: activation derivative,
-``W += h^T g``, ``b += sum(g)``, ``g <- g W^T`` (a broadcast product for a
-layer of one unit), and skips the last product when the input is a constant.
+``W += h^T g``, ``b += sum(g)``, ``g <- g W^T`` (one matmul for every layer,
+a one-unit layer included), and skips the last product when the input is a
+constant.
 Every element goes through the same numpy operations, in the same order, as
 the per-layer graph would, so values and gradients are bit-identical to it.
 ``Adam`` keeps its moments in one flat vector and updates them in place, in
@@ -63,22 +64,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # rows per block of Mlp.predict, a multiple of 4 (see the module docstring)
 PREDICT_BLOCK = 1024
-
-
-def _backprop_input(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``g @ w.T``, the gradient a dense layer passes to its input.
-
-    With one output unit, ``w.T`` is a (1, k) view that numpy's matmul runs in
-    its own loop rather than BLAS, at about twice the time of the broadcast
-    product. The loop adds each product to +0.0, so it gives +0.0 where the
-    product is -0.0; ``+ 0.0`` after the broadcast product gives the same
-    bytes.
-    """
-    if w.shape[1] != 1:
-        return g @ w.T
-    out = g * w.T
-    out += 0.0
-    return out
 
 
 def hidden_widths(name: str, widths) -> tuple[int, ...]:
@@ -194,7 +179,7 @@ class Mlp:
                 b._accum(g.sum(axis=0))
                 if i == 0 and not x.requires_grad:
                     return
-                g = _backprop_input(g, w.data)
+                g = g @ w.data.T
             x._accum(g)
 
         return x._make(h, (x, *self.parameters()), backward)

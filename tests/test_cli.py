@@ -515,8 +515,8 @@ def _run(tmp_path, doc, *stages):
 
 
 def test_retraining_without_normalization_drops_the_old_normalizer(tmp_path):
-    # the scoring stages apply any normalizer.json they find, so one left by a
-    # normalized run would rescale features the new models never saw
+    # a normalizer.json left by a normalized run would contradict normalize:
+    # false, and the scoring stages refuse a normalizer that the config disowns
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     for out in (reused, fresh):
         out.mkdir()
@@ -1028,6 +1028,46 @@ def test_stage_exits_two_on_an_outlier_row_in_training_or_calibration_data(
            f"rows must be of a class\n")
 
 
+@pytest.mark.parametrize("stage, name, writer", [
+    ("train", "data/train.csv", "gen-data"),
+    ("calibrate", "data/train.csv", "gen-data"),
+    ("predict", "pools/pools.csv", "calibrate"),
+    ("predict", "data/test_c10.csv", "gen-data"),
+    ("evaluate", "data/train.csv", "gen-data"),
+    ("evaluate", "data/calibration.csv", "gen-data"),
+    ("evaluate", "data/test_c10.csv", "gen-data"),
+], ids=lambda value: value.replace("data/", "").replace("pools/", ""))
+def test_stage_exits_two_naming_a_missing_input_and_the_stage_that_writes_it(
+        pipeline, tmp_path, stage, name, writer):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / name
+    path.unlink()
+    assert _stage(cfg_path, copy, stage) == (2, f"error: {path} is missing; run {writer} first\n")
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["on-missing", "off-present"])
+@pytest.mark.parametrize("stage", ["calibrate", "predict", "evaluate"])
+def test_scoring_stage_exits_two_when_the_normalizer_disagrees_with_the_config(
+        pipeline, tmp_path, stage, normalize):
+    # a test row must go through the map its class's pool was built with, so
+    # the config decides normalization and the file must agree with it
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "models" / "normalizer.json"
+    if normalize:
+        path.unlink()
+        state = "is missing but normalize is on"
+    else:
+        doc = json.loads(pathlib.Path(cfg_path).read_text())
+        cfg_path = tmp_path / "unnormalized.json"
+        cfg_path.write_text(json.dumps(dict(doc, normalize=False)))
+        state = "exists but normalize is off"
+    assert _stage(str(cfg_path), copy, stage) == (2, f"error: {path} {state}; rerun train\n")
+
+
 def test_evaluate_grades_every_method_at_its_own_alpha(pipeline, tmp_path):
     # predict ran at 0.05; evaluate at 0.3 grades as if predict had run at 0.3 too
     cfg_path, out = pipeline
@@ -1072,23 +1112,55 @@ def test_predict_exits_two_naming_the_pool_file_of_a_bad_row(pipeline, tmp_path)
         2, f"error: {path}: class_label must be positive, got 0\n")
 
 
-@pytest.mark.parametrize("edit, classes", [
+_CLASS_EDITS = pytest.mark.parametrize("edit, classes", [
     (lambda rows: [row for row in rows if not row.startswith("2,")], [1]),
     (lambda rows: [*rows, "3," + rows[0].split(",", 1)[1]], [1, 2, 3]),
 ], ids=["missing", "extra"])
-def test_predict_exits_two_when_pool_classes_differ_from_the_models(pipeline, tmp_path,
-                                                                    edit, classes):
+
+
+def _differing_classes(pipeline, tmp_path, stage, table, edit, classes, rerun, output):
+    """Run ``stage`` on a copy whose ``table`` (a path under the output
+    directory, each row led by its class) is rewritten by ``edit``: it exits
+    2 naming the table's classes, and leaves the ``output`` directory as it was."""
     cfg_path, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
-    path = copy / "pools" / "pools.csv"
+    path = copy / table
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, *edit(rows)]) + "\n")
-    assert _stage(cfg_path, copy, "predict") == (
+    assert _stage(cfg_path, copy, stage) == (
         2, f"error: {path} holds classes {classes}, the models are of classes [1, 2]; "
-           f"rerun calibrate\n")
-    for pred in (out / "predictions").iterdir():
-        assert (copy / "predictions" / pred.name).read_bytes() == pred.read_bytes()
+           f"rerun {rerun}\n")
+    for kept in (out / output).iterdir():
+        assert (copy / output / kept.name).read_bytes() == kept.read_bytes()
+
+
+@_CLASS_EDITS
+def test_predict_exits_two_when_pool_classes_differ_from_the_models(pipeline, tmp_path,
+                                                                    edit, classes):
+    _differing_classes(pipeline, tmp_path, "predict", "pools/pools.csv", edit, classes,
+                       "calibrate", "predictions")
+
+
+@_CLASS_EDITS
+def test_calibrate_exits_two_when_training_classes_differ_from_the_models(pipeline, tmp_path,
+                                                                          edit, classes):
+    _differing_classes(pipeline, tmp_path, "calibrate", "data/train.csv", edit, classes,
+                       "train", "pools")
+
+
+def test_evaluate_exits_two_on_an_arm_class_without_a_p_value_column(pipeline, tmp_path):
+    # graded, such rows would count as inliers that no set ever covers
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    arm = copy / "data" / "test_c0.csv"
+    header, *rows = arm.read_text().splitlines()
+    rows[3] = "3," + rows[3].split(",", 1)[1]
+    arm.write_text("\n".join([header, *rows]) + "\n")
+    pv_path = copy / "predictions" / "pvalues_c0.csv"
+    assert _stage(cfg_path, copy, "evaluate", "--baselines", "off") == (
+        2, f"error: {arm} holds class 3, which {pv_path} has no column for\n")
 
 
 @pytest.mark.parametrize("header", ["in_2,in_1", "in_1,in_7", "in_1,in_2,in_3", "in_1"])
