@@ -1,5 +1,7 @@
-"""The CSV table codec behind every artifact table, and the JSON writer
-behind every other artifact.
+"""The CSV table codec behind every artifact table (test arms, pools,
+predictions, histograms, the comparison), and the JSON writer behind the
+models, normalizer, traces and reports. The class-row data files are not
+tables: ``datasets`` writes them as ``.npy``, so no stage parses their text.
 
 A table is one header line of comma-separated column names, then one line
 per row. The header is a fixed run of names, optionally followed by at least

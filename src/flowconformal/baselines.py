@@ -19,9 +19,10 @@ import numpy as np
 
 from .autodiff import Tensor
 from ._table import FLOAT, write_matrix
+from .config import ClassifierConfig
 from .datasets import sorted_labels
 from .errors import ConfigError, DataError
-from .nn import Adam, Mlp, MlpSpec, hidden_widths
+from .nn import Adam, Mlp, MlpSpec
 
 __all__ = [
     "ClassifierConfig",
@@ -35,22 +36,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    hidden: tuple[int, ...] = (32,)
-    epochs: int = 60
-    batch_size: int = 128
-    lr: float = 5e-3
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", hidden_widths("hidden", self.hidden))
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass

@@ -4,8 +4,9 @@ calibration, prediction, and evaluation, driven by one JSON config.
 Stages persist their outputs under the configured output directory so each
 can be rerun or tested in isolation:
 
-    data/         train/calibration/outlier CSVs plus one test CSV per
-                  contamination rate (test_c0.csv, test_c5.csv, ...)
+    data/         train, calibration and outlier rows as .npy pairs
+                  (train_features.npy, train_labels.npy, ...), plus one test
+                  CSV per contamination rate (test_c0.csv, test_c5.csv, ...)
     models/       one JSON bundle and loss trace per class, normalizer
     pools/        score pools CSV
     predictions/  p-value, set, and (with baselines) probability CSVs per arm
@@ -26,8 +27,20 @@ only the KS checks and the histograms. The sets files are ``predict``'s
 output for users, made at predict's alpha; ``evaluate`` checks their classes
 and rows against the p-values and does not grade them.
 
-``train.csv`` and ``calibration.csv`` hold class rows only: a stage that
-reads an outlier row (label 0) there exits 2, naming the file and the row.
+The class rows go to ``.npy`` because no one reads them as text: ``train``,
+``calibrate`` and ``evaluate`` load them in milliseconds where the CSV took
+tens, and hold no parse buffers. The test arms stay CSV, since
+``predict --test-file`` scores a CSV arm a user may write. The training and
+calibration rows hold class rows only: a stage that reads an outlier label
+(0) there exits 2, naming the labels file and the row.
+
+Each stage loads only the package modules it calls. This module imports
+``config``, ``datasets``, ``_table`` and ``errors``; each stage function
+imports what it calls from the others when it runs, so ``gen-data`` never
+loads the training or scoring code. The other modules are put in
+``sys.modules`` unexecuted (``_register_lazily``) and each runs on its first
+use, so a tool that wraps the package's functions right after importing this
+module (``perfbench/tracer.py``) still finds every module.
 
 Each decision has one source. A missing data, arm or pool file exits 2
 through ``_existing``, naming the file and the stage that writes it. The
@@ -46,6 +59,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -57,26 +71,7 @@ import numpy as np
 
 from . import __version__
 from ._table import read_json, write_json
-from .baselines import (
-    ClassifierConfig,
-    aps_calibrate,
-    aps_set,
-    save_prob_matrix,
-    scaling_set,
-    train_softmax_classifier,
-)
-from .conformal import (
-    ConformalConfig,
-    build_score_pool,
-    load_p_values,
-    load_pools,
-    load_sets,
-    p_value_matrix,
-    predictive_set,
-    save_p_values,
-    save_pools,
-    save_sets,
-)
+from .config import ClassifierConfig, ConformalConfig, FlowArchitecture, TrainConfig
 from .datasets import (
     OUTLIER,
     ContaminationSpec,
@@ -87,21 +82,37 @@ from .datasets import (
     gen_gaussian_classes,
     inject_contamination,
     load_dataset_csv,
+    load_dataset_npy,
     load_idx_dataset,
+    npy_paths,
     save_dataset_csv,
+    save_dataset_npy,
     split_stratified,
 )
 from .errors import ConfigError, DataError
-from .evaluation import build_report, emit_comparison, emit_histogram, emit_report
-from .roundtrip import (
-    FlowArchitecture,
-    TrainConfig,
-    load_class_flow,
-    save_class_flow,
-    train_class_flows,
-)
 
 __all__ = ["ExperimentConfig", "RunManifest", "main"]
+
+
+def _register_lazily(*names: str) -> None:
+    """Put each package module of ``names`` that is not loaded yet into
+    ``sys.modules`` and onto the package unexecuted; its code runs on the
+    first read of one of its names."""
+    package = sys.modules[__package__]
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+_register_lazily("autodiff", "nn", "kernels", "roundtrip", "conformal", "baselines",
+                 "special", "evaluation")
 
 # -- configuration ---------------------------------------------------------------
 
@@ -406,11 +417,8 @@ def cmd_gen_data(cfg: ExperimentConfig) -> list[str]:
         _checked("model", FlowArchitecture, input_dim=train.dim, **cfg.model)
 
     written = []
-    for name, ds in (("train.csv", train), ("calibration.csv", calib),
-                     ("outliers.csv", outliers)):
-        p = cfg.path("data", name)
-        save_dataset_csv(ds, p)
-        written.append(p)
+    for name, ds in (("train", train), ("calibration", calib), ("outliers", outliers)):
+        written.extend(save_dataset_npy(ds, cfg.path("data", name)))
     for i, rate in enumerate(cfg.rates):
         arm = inject_contamination(
             test, ContaminationSpec(rate, outliers.features, seed=cfg.seed + 40_000 + i)
@@ -488,13 +496,17 @@ def _same_classes(path: str, classes, models, rerun: str) -> None:
                         f"{model_classes}; rerun {rerun}")
 
 
-def _load_class_rows(path: str) -> LabeledDataset:
-    """The dataset at ``path``, which may hold no outlier row: a model or
-    classifier fit on one would take the outlier token for a class."""
-    ds = load_dataset_csv(_existing(path, "gen-data"))
+def _load_class_rows(stem: str) -> LabeledDataset:
+    """The dataset whose ``.npy`` pair ``gen-data`` wrote at ``stem``, which
+    may hold no outlier row: a model or classifier fit on one would take the
+    outlier token for a class."""
+    features_path, labels_path = npy_paths(stem)
+    _existing(features_path, "gen-data")
+    _existing(labels_path, "gen-data")
+    ds = load_dataset_npy(stem)
     outliers = np.flatnonzero(ds.labels == OUTLIER)
     if outliers.size:
-        raise DataError(f"{path}: data row {outliers[0] + 1} has the outlier label "
+        raise DataError(f"{labels_path}: row {outliers[0] + 1} has the outlier label "
                         f"{OUTLIER}; training and calibration rows must be of a class")
     return ds
 
@@ -522,8 +534,10 @@ def _normalize(norm: Normalizer | None, features: np.ndarray) -> np.ndarray:
 
 
 def cmd_train(cfg: ExperimentConfig) -> list[str]:
+    from .roundtrip import save_class_flow, train_class_flows
+
     _ensure_dirs(cfg)
-    train = _load_class_rows(cfg.path("data", "train.csv"))
+    train = _load_class_rows(cfg.path("data", "train"))
     if not train.class_labels():
         raise DataError("training data has no class rows")
 
@@ -552,6 +566,8 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
 
 
 def _load_models(cfg: ExperimentConfig):
+    from .roundtrip import load_class_flow
+
     paths = sorted(glob.glob(cfg.path("models", "class_*.json")))
     if not paths:
         raise DataError(f"no model bundles under {cfg.path('models')}; run train first")
@@ -571,11 +587,13 @@ def _load_models(cfg: ExperimentConfig):
 
 
 def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
+    from .conformal import build_score_pool, save_pools
+
     _ensure_dirs(cfg)
     models = _load_models(cfg)
-    train_path = cfg.path("data", "train.csv")
-    train = _load_class_rows(train_path)
-    _same_classes(train_path, train.class_labels(), models, "train")
+    stem = cfg.path("data", "train")
+    train = _load_class_rows(stem)
+    _same_classes(npy_paths(stem)[1], train.class_labels(), models, "train")
     feats = _normalize(_load_normalizer(cfg), train.features)
     pools = [build_score_pool(model, feats[train.labels == model.class_label])
              for model in models]
@@ -587,6 +605,8 @@ def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
 
 def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
                  token: str) -> list[str]:
+    from .conformal import p_value_matrix, predictive_set, save_p_values, save_sets
+
     feats = _normalize(norm, load_dataset_csv(test_path).features)
     labels, matrix = p_value_matrix(models, pools, feats, cfg.conformal.p_value_mode)
     pv_path, set_path = _prediction_paths(cfg, token)
@@ -596,6 +616,11 @@ def _predict_one(cfg: ExperimentConfig, models, pools, norm, test_path: str,
 
 
 def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str]:
+    from .conformal import load_pools
+
+    # a user's file: no stage writes it, so the message names the flag
+    if test_file is not None and not os.path.exists(test_file):
+        raise DataError(f"--test-file {test_file} does not exist")
     _ensure_dirs(cfg)
     models = _load_models(cfg)
     pool_path = cfg.path("pools", "pools.csv")
@@ -617,6 +642,8 @@ def cmd_predict(cfg: ExperimentConfig, test_file: str | None = None) -> list[str
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
+    from .evaluation import emit_comparison
+
     _ensure_dirs(cfg)
     # every arm's predictions, before the classifier is fit or any report written
     for rate in cfg.rates:
@@ -650,6 +677,10 @@ def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, base
     """(paths written, comparison rows) of one test arm: each method's report,
     flow's histograms and, with ``baseline`` (the classifier and its APS
     calibration), the arm's probabilities. The arm goes when this returns."""
+    from .baselines import aps_set, save_prob_matrix, scaling_set
+    from .conformal import load_p_values, load_sets, predictive_set
+    from .evaluation import build_report, emit_histogram, emit_report
+
     token = cfg.rate_token(rate)
     pv_path, set_path = _prediction_paths(cfg, token)
     test_path = _existing(cfg.test_csv(rate), "gen-data")
@@ -696,8 +727,10 @@ def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, base
 def _fit_classifier(cfg: ExperimentConfig, norm: Normalizer | None):
     """(the baselines' classifier, its APS calibration), from the training and
     calibration rows, which are let go of before any arm is scored."""
-    train = _load_class_rows(cfg.path("data", "train.csv"))
-    calib = _load_class_rows(cfg.path("data", "calibration.csv"))
+    from .baselines import aps_calibrate, train_softmax_classifier
+
+    train = _load_class_rows(cfg.path("data", "train"))
+    calib = _load_class_rows(cfg.path("data", "calibration"))
     if calib.n == 0:
         train, calib = split_stratified(train, cfg.calibration_fraction, cfg.seed + 60_000)
     clf = train_softmax_classifier(_normalize(norm, train.features), train.labels,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import FLOAT, read_matrix, read_table, write_matrix, write_table
+from .config import P_VALUE_MODES, ConformalConfig
 from .datasets import sorted_labels
 from .errors import ConfigError, DataError
 from .roundtrip import ClassFlowModel, SavedClassFlow, encode
@@ -44,22 +45,6 @@ __all__ = [
     "save_sets",
     "load_sets",
 ]
-
-P_VALUE_MODES = ("smoothed", "paper-literal")
-
-
-@dataclass(frozen=True)
-class ConformalConfig:
-    alpha: float = 0.05
-    p_value_mode: str = "smoothed"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.p_value_mode not in P_VALUE_MODES:
-            raise ConfigError(
-                f"p_value_mode must be one of {P_VALUE_MODES}, got {self.p_value_mode!r}"
-            )
 
 
 def nonconformity_scores(model: ClassFlowModel | SavedClassFlow, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,21 @@
 """Labeled datasets: synthetic Gaussian classes, IDX image files, contamination,
-stratified splits, normalization, and CSV round-trips.
+stratified splits, normalization, and the two file formats of a dataset.
 
 Class labels are positive integers 1..L; the reserved label 0 marks outlier
-rows (``OUTLIER``). IDX digit labels 0..9 therefore load as 1..10. CSV files
-carry the header ``label,f_1,...,f_p`` and feature values with 17 significant
-digits, so a save/load round-trip is exact.
+rows (``OUTLIER``). IDX digit labels 0..9 therefore load as 1..10.
+
+A dataset is saved in one of two forms, each of which round-trips exactly:
+
+- two ``.npy`` files (``save_dataset_npy``/``load_dataset_npy``):
+  ``<stem>_features.npy`` holds the float64 (n, p) matrix and
+  ``<stem>_labels.npy`` the int64 labels, written by ``np.save`` and read
+  back without pickles. A stage reads them in a few milliseconds and holds
+  nothing beyond the two arrays. A file that is truncated, not ``.npy``,
+  of another dtype or rank, or of another row count than its twin raises a
+  DataError naming the file.
+- one CSV table (``save_dataset_csv``/``load_dataset_csv``) with the header
+  ``label,f_1,...,f_p`` and feature values with 17 significant digits, for
+  files a user writes or reads as text.
 """
 
 from __future__ import annotations
@@ -33,6 +44,9 @@ __all__ = [
     "fit_normalizer",
     "save_dataset_csv",
     "load_dataset_csv",
+    "npy_paths",
+    "save_dataset_npy",
+    "load_dataset_npy",
     "sorted_labels",
 ]
 
@@ -328,7 +342,7 @@ def fit_normalizer(features: np.ndarray) -> Normalizer:
     return Normalizer(mean, std)
 
 
-# -- CSV round-trips --------------------------------------------------------------
+# -- file round-trips -------------------------------------------------------------
 
 def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
     write_table(path, ["label", *(f"f_{j + 1}" for j in range(ds.dim))],
@@ -340,3 +354,44 @@ def load_dataset_csv(path: str) -> LabeledDataset:
     if list(cols) != list(range(1, len(cols) + 1)):
         raise DataError(f"{path}: malformed feature columns {cols}; expected f_1..f_{len(cols)}")
     return LabeledDataset(features, labels)
+
+
+def npy_paths(stem: str) -> tuple[str, str]:
+    """The features and labels files of the dataset saved at ``stem``."""
+    return f"{stem}_features.npy", f"{stem}_labels.npy"
+
+
+def save_dataset_npy(ds: LabeledDataset, stem: str) -> tuple[str, str]:
+    """Write ``ds`` as its two ``.npy`` files; returns their paths."""
+    paths = npy_paths(stem)
+    np.save(paths[0], ds.features)
+    np.save(paths[1], ds.labels)
+    return paths
+
+
+def load_dataset_npy(stem: str) -> LabeledDataset:
+    """The dataset that ``save_dataset_npy`` wrote at ``stem``."""
+    features_path, labels_path = npy_paths(stem)
+    features = _read_npy(features_path, np.float64, 2)
+    labels = _read_npy(labels_path, np.int64, 1)
+    if features.shape[0] != labels.shape[0]:
+        raise DataError(f"{labels_path}: {labels.shape[0]} labels, but {features_path} "
+                        f"holds {features.shape[0]} rows")
+    try:
+        return LabeledDataset(features, labels)
+    except DataError as exc:  # a non-finite feature or a negative label
+        raise DataError(f"{features_path}, {labels_path}: {exc}") from None
+
+
+def _read_npy(path: str, dtype, ndim: int) -> np.ndarray:
+    """The ``ndim``-D ``dtype`` array in the ``.npy`` file ``path``; any
+    other file raises a DataError naming it."""
+    with open(path, "rb") as fh:
+        try:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:  # truncated, not .npy, or of object dtype
+            raise DataError(f"{path}: not a readable .npy array: {exc}") from None
+    if array.dtype != dtype or array.ndim != ndim:
+        raise DataError(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
+                        f"got a {array.ndim}-D {array.dtype} one")
+    return array

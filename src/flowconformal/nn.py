@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ACTIVATION_TABLE, Tensor
-from .errors import ConfigError
+from .config import hidden_widths
 
 __all__ = [
     "ACTIVATIONS",
@@ -64,14 +64,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # rows per block of Mlp.predict, a multiple of 4 (see the module docstring)
 PREDICT_BLOCK = 1024
-
-
-def hidden_widths(name: str, widths) -> tuple[int, ...]:
-    """The config field ``name``'s hidden layer widths as ints, each >= 1."""
-    widths = tuple(int(w) for w in widths)
-    if min(widths, default=1) < 1:
-        raise ConfigError(f"{name} widths must be >= 1, got {list(widths)}")
-    return widths
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,11 @@ import numpy as np
 
 from ._table import read_json, write_json
 from .autodiff import Tensor
+from .config import FlowArchitecture, TrainConfig
 from .datasets import OUTLIER, sorted_labels
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, mmd2_unbiased_graph, resolve_bandwidth
-from .nn import Adam, Mlp, MlpSpec, hidden_widths, mlp_from_dict, mlp_to_dict
+from .nn import Adam, Mlp, MlpSpec, mlp_from_dict, mlp_to_dict
 
 __all__ = [
     "FlowArchitecture",
@@ -75,69 +76,6 @@ __all__ = [
 
 _PROB_FLOOR = 1e-7
 _MODEL_FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class FlowArchitecture:
-    """Network shapes for one class model."""
-
-    input_dim: int
-    latent_dim: int
-    gen_hidden: tuple[int, ...] = (48, 48)
-    inv_hidden: tuple[int, ...] = (48, 48)
-    disc_hidden: tuple[int, ...] = (48, 48)
-
-    def __post_init__(self):
-        for name in ("gen_hidden", "inv_hidden", "disc_hidden"):
-            object.__setattr__(self, name, hidden_widths(name, getattr(self, name)))
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        # latent dims up to the input dim are allowed so 1-D data can use d=1
-        if self.latent_dim > self.input_dim:
-            raise ConfigError(
-                f"latent_dim must lie in [1, input_dim={self.input_dim}], got {self.latent_dim}"
-            )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 40
-    batch_size: int = 128
-    lr_gen: float = 1e-3
-    lr_disc: float = 1e-3
-    # the fine-tune step shares the inverse map with the latent-matching
-    # objective; a gentler rate keeps it from dragging encodings off center
-    lr_pred: float = 1e-4
-    w_gan: float = 1.0
-    w_mmd: float = 1.0
-    w_cycle: float = 1.0
-    w_pred: float = 1.0
-    disc_steps: int = 1
-    seed: int = 0
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.disc_steps < 1:
-            raise ConfigError(f"disc_steps must be >= 1, got {self.disc_steps}")
-        for name in ("lr_gen", "lr_disc", "lr_pred"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
-        for name in ("w_gan", "w_mmd", "w_cycle", "w_pred"):
-            v = getattr(self, name)
-            if v < 0 or not np.isfinite(v):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError(f"bandwidth must be positive when fixed, got {self.bandwidth}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -540,8 +478,8 @@ def train_class_flows(
     if cpus == 1 or workers < 1:
         return [_fit_class(features, labels, c, arch, config) for c in classes]
 
-    # imported here: every CLI stage imports this module, and the pool
-    # machinery would add ~20 ms to the start-up of the stages that never use it
+    # imported here: calibrate and predict load this module to score, and the
+    # pool machinery would add ~20 ms to the start-up of stages that never use it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

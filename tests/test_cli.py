@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import shutil
 import struct
@@ -29,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from flowconformal import baselines, cli, roundtrip
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
 from flowconformal.conformal import load_p_values, load_sets
-from flowconformal.datasets import load_dataset_csv
+from flowconformal.datasets import load_dataset_csv, load_dataset_npy
 from flowconformal.errors import ConfigError, DataError
 from conftest import networks_json, openblas_core
 from loss_oracle import tape_cross_entropy
@@ -124,20 +125,27 @@ def test_gen_data_rejects_a_latent_size_above_the_image_size(tmp_path, capsys):
 
 
 # sha256 of each data/ file that gen-data writes from the arithmetic IDX
-# files below. The path from IDX bytes to CSV text (pixel scaling, the
-# stratified split, the contamination draw, the table codec) calls no BLAS or
-# LAPACK, so these bytes are the same on any machine with this numpy.
+# files below. The path from IDX bytes to .npy and CSV files (pixel scaling,
+# the stratified split, the contamination draw, np.save, the table codec)
+# calls no BLAS or LAPACK, so these bytes are the same on any little-endian
+# machine with this numpy.
 GOLDEN_IDX_DIGESTS = {
-    "calibration.csv":
-        "be16312b3e3b84f6a74f6d99cc6b77b2c83f92de4dd55494cdd75db75e369a0e",
-    "outliers.csv":
-        "eb21ab3e65fa17ecac1b10fff3a3c791a12058dda55f03606d9c8c33a99a867b",
+    "calibration_features.npy":
+        "45f3b0b157bfa69b784496ae25aae541b4c2a372dc073f4edacee9999483f391",
+    "calibration_labels.npy":
+        "11647e0a705c3ab1e42fef4d3f65c135f387dd1327f83d3f8c9b690942aa6b05",
+    "outliers_features.npy":
+        "cb47d22e095fffb6281d1b7ce373b4f0b4a2941b4e3e09b62c9e5905343e3662",
+    "outliers_labels.npy":
+        "d99c920afd0b9e4687a89b91c3822251a0bf7a12ae8aaec70c4fdc891959626f",
     "test_c0.csv":
         "864194271121f64a2ef00efadb54d59cabaea41a8756855367eb7e4fe9670d72",
     "test_c10.csv":
         "9c1e2a83522b3fd0376c7bbb953a2238e42d400e9248d6b1d513bc59c2bae34c",
-    "train.csv":
-        "fc384d4049592b2b50072a4954e2c6d7699d12511f3caf1212de9acda9fc746c",
+    "train_features.npy":
+        "5cab736e052519d6595b5c9caafa88288db3cd8844ff68d01bb0759057448f43",
+    "train_labels.npy":
+        "67aeb287012a7518186b35264402dabec5fbf6b8efb13119f9f78ce582e4e704",
 }
 
 
@@ -394,16 +402,18 @@ def test_predict_before_train_exits_two(tmp_path):
 
 def test_gen_data_writes_expected_files(pipeline):
     _, out = pipeline
-    for name in ("train.csv", "calibration.csv", "outliers.csv",
-                 "test_c0.csv", "test_c10.csv"):
-        assert (out / "data" / name).exists(), name
+    assert sorted(path.name for path in (out / "data").iterdir()) == [
+        "calibration_features.npy", "calibration_labels.npy",
+        "outliers_features.npy", "outliers_labels.npy",
+        "test_c0.csv", "test_c10.csv", "train_features.npy", "train_labels.npy"]
 
 
 def test_gen_data_row_counts(pipeline):
     _, out = pipeline
-    train = load_dataset_csv(str(out / "data" / "train.csv"))
+    train = load_dataset_npy(str(out / "data" / "train"))
     assert train.n == 128 and train.class_labels() == (1, 2)
-    outliers = load_dataset_csv(str(out / "data" / "outliers.csv"))
+    assert load_dataset_npy(str(out / "data" / "calibration")).n == 0
+    outliers = load_dataset_npy(str(out / "data" / "outliers"))
     assert outliers.n == 50 and np.all(outliers.labels == 0)
     clean = load_dataset_csv(str(out / "data" / "test_c0.csv"))
     assert clean.n == 40 and not np.any(clean.labels == 0)
@@ -460,7 +470,7 @@ def test_train_writes_the_same_models_for_any_cpu_count(tmp_path, monkeypatch):
     assert len(trees[0]) == 7  # normalizer, a model and a trace per class
     assert trees[0] == trees[1] == trees[2]
     # a model file holds only the inverse map; G, D and h are compared here
-    train = load_dataset_csv(str(out / "data" / "train.csv"))
+    train = load_dataset_npy(str(out / "data" / "train"))
     arch = roundtrip.FlowArchitecture(1, 1, (8,), (8,), (8,))
     config = roundtrip.TrainConfig(epochs=4, batch_size=16, w_mmd=8.0, w_cycle=0.5, seed=3)
     nets = []
@@ -557,18 +567,24 @@ def test_retraining_on_fewer_classes_drops_the_old_models(tmp_path):
 GOLDEN_RUN_MACHINE = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0",
                       "blas_core": "SkylakeX"}
 GOLDEN_RUN_DIGESTS = {
-    "data/calibration.csv":
-        "2bf67c6d03dc5fb92c3565f508c4a08e3b7e5d72e089af34fee85a9f96cc4366",
-    "data/outliers.csv":
-        "76124fb5e8f944c78ef339c4f7299558b7fde12028f05fb7268683051748209d",
+    "data/calibration_features.npy":
+        "aa03397bf977ff4f544e8768afd91f3f4b876dc9732a7b9550ca82f5639b5ef4",
+    "data/calibration_labels.npy":
+        "e734dac55ea9fbbe782af2d8c02c3c5992131906228afb2aaaf137d6f3ed74db",
+    "data/outliers_features.npy":
+        "974b637449f794c5125a1adc0630012f3d712562d7afce89e553e21782d8c701",
+    "data/outliers_labels.npy":
+        "d99c920afd0b9e4687a89b91c3822251a0bf7a12ae8aaec70c4fdc891959626f",
     "data/test_c0.csv":
         "87fa08923dbbf233c7aa45cf57c2bdb71a209af379ff1b7e76cf9b52698d2869",
     "data/test_c10.csv":
         "e70c3c650dfc5c70e1a6bff4461ee7c9995bef5b82cfdb5e48d4916023ea4e7c",
-    "data/train.csv":
-        "7d48ce78bdd8b879166d43777dab01a13c98de14608cba8fa3130bd44b4a1d0a",
+    "data/train_features.npy":
+        "f43350f605a4ef183b44b7e1cd582f22b0bab024e0f2793819e59b9071be8677",
+    "data/train_labels.npy":
+        "8ba23d60e46a37e89f393f73665680a23cb9018a266ade0d957a1dffae943863",
     "manifest.json":
-        "cc45ebd1785e052941cc33437bba47df4a87c989a67090ee9176a61ec25db9f4",
+        "82a993b0be12e48d3a76f702cbea1dcfa06d32c37a6dcc338a763da07b466657",
     "models/class_1.json":
         "285c6d8ef079700b9378118759b119965db775cc59c0a5166d01790ef9027b34",
     "models/class_2.json":
@@ -1002,39 +1018,47 @@ def test_evaluate_exits_two_naming_an_arm_without_predictions_before_any_work(
     def fit(*args, **kwargs):
         raise AssertionError("the classifier was fit")
 
-    monkeypatch.setattr(cli, "train_softmax_classifier", fit)
+    monkeypatch.setattr(baselines, "train_softmax_classifier", fit)
     assert _stage(cfg_path, copy, "evaluate") == (
         2, "error: predictions missing for rate 0.1; run predict first\n")
     assert list((copy / "reports").iterdir()) == []
 
 
 @pytest.mark.parametrize("stage, name", [
-    ("train", "train.csv"), ("calibrate", "train.csv"),
-    ("evaluate", "train.csv"), ("evaluate", "calibration.csv"),
+    ("train", "train_labels.npy"), ("calibrate", "train_labels.npy"),
+    ("evaluate", "train_labels.npy"), ("evaluate", "calibration_labels.npy"),
 ])
 def test_stage_exits_two_on_an_outlier_row_in_training_or_calibration_data(
         pipeline, tmp_path, stage, name):
     cfg_path, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
-    header, *rows = (copy / "data" / "train.csv").read_text().splitlines()
-    rows = rows[:8] if name == "calibration.csv" else rows
-    for i in (2, 5):
-        rows[i] = "0," + rows[i].split(",", 1)[1]
+    features = np.load(copy / "data" / "train_features.npy")
+    labels = np.load(copy / "data" / "train_labels.npy")
+    if name.startswith("calibration"):
+        features, labels = features[:8], labels[:8]
+    labels[[2, 5]] = 0
     path = copy / "data" / name
-    path.write_text("\n".join([header, *rows]) + "\n")
+    np.save(copy / "data" / name.replace("labels", "features"), features)
+    np.save(path, labels)
     assert _stage(cfg_path, copy, stage) == (
-        2, f"error: {path}: data row 3 has the outlier label 0; training and calibration "
+        2, f"error: {path}: row 3 has the outlier label 0; training and calibration "
            f"rows must be of a class\n")
 
 
 @pytest.mark.parametrize("stage, name, writer", [
-    ("train", "data/train.csv", "gen-data"),
-    ("calibrate", "data/train.csv", "gen-data"),
+    ("train", "data/train_features.npy", "gen-data"),
+    ("train", "data/train_labels.npy", "gen-data"),
+    ("calibrate", "data/train_features.npy", "gen-data"),
+    ("calibrate", "data/train_labels.npy", "gen-data"),
     ("predict", "pools/pools.csv", "calibrate"),
     ("predict", "data/test_c10.csv", "gen-data"),
-    ("evaluate", "data/train.csv", "gen-data"),
-    ("evaluate", "data/calibration.csv", "gen-data"),
+    # a user's file, which no stage writes: the message names the flag
+    pytest.param("predict --test-file", "data/nope.csv", None, id="predict-test_file-nope.csv"),
+    ("evaluate", "data/train_features.npy", "gen-data"),
+    ("evaluate", "data/train_labels.npy", "gen-data"),
+    ("evaluate", "data/calibration_features.npy", "gen-data"),
+    ("evaluate", "data/calibration_labels.npy", "gen-data"),
     ("evaluate", "data/test_c10.csv", "gen-data"),
 ], ids=lambda value: value.replace("data/", "").replace("pools/", ""))
 def test_stage_exits_two_naming_a_missing_input_and_the_stage_that_writes_it(
@@ -1043,8 +1067,48 @@ def test_stage_exits_two_naming_a_missing_input_and_the_stage_that_writes_it(
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     path = copy / name
-    path.unlink()
-    assert _stage(cfg_path, copy, stage) == (2, f"error: {path} is missing; run {writer} first\n")
+    if writer is None:
+        args, message = [*stage.split(), str(path)], f"--test-file {path} does not exist"
+    else:
+        path.unlink()
+        args, message = [stage], f"{path} is missing; run {writer} first"
+    assert _stage(cfg_path, copy, *args) == (2, f"error: {message}\n")
+
+
+def _refill(path, change):
+    """Save ``change`` of the array in the .npy file ``path`` over it."""
+    np.save(path, change(np.load(path)))
+
+
+def _bad_value(array):
+    array.flat[0] = np.nan if array.dtype.kind == "f" else -1
+    return array
+
+
+# each turns a good .npy file into one the reader must refuse
+_NPY_DAMAGE = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-8]),
+    "pickled": lambda path: path.write_bytes(pickle.dumps(np.load(path))),
+    "object_dtype": lambda path: _refill(path, lambda a: a.astype(object)),
+    "wrong_dtype": lambda path: _refill(path, lambda a: a.astype(np.float32)),
+    "wrong_ndim": lambda path: _refill(path, lambda a: a[..., None]),
+    "row_count": lambda path: _refill(path, lambda a: a[:-1]),
+    "bad_value": lambda path: _refill(path, _bad_value),
+}
+
+
+@pytest.mark.parametrize("damage", list(_NPY_DAMAGE))
+@pytest.mark.parametrize("name", ["train_features.npy", "train_labels.npy"])
+@pytest.mark.parametrize("stage", ["train", "calibrate", "evaluate"])
+def test_stage_exits_two_naming_a_bad_npy_file(pipeline, tmp_path, stage, name, damage):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "data" / name
+    _NPY_DAMAGE[damage](path)
+    code, err = _stage(cfg_path, copy, stage)
+    assert code == 2 and err.startswith("error: ") and str(path) in err, err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["on-missing", "off-present"])
@@ -1112,22 +1176,40 @@ def test_predict_exits_two_naming_the_pool_file_of_a_bad_row(pipeline, tmp_path)
         2, f"error: {path}: class_label must be positive, got 0\n")
 
 
+# each edit takes and returns (class, rest of the row) pairs
 _CLASS_EDITS = pytest.mark.parametrize("edit, classes", [
-    (lambda rows: [row for row in rows if not row.startswith("2,")], [1]),
-    (lambda rows: [*rows, "3," + rows[0].split(",", 1)[1]], [1, 2, 3]),
+    (lambda rows: [row for row in rows if row[0] != 2], [1]),
+    (lambda rows: [*rows, (3, rows[0][1])], [1, 2, 3]),
 ], ids=["missing", "extra"])
 
 
-def _differing_classes(pipeline, tmp_path, stage, table, edit, classes, rerun, output):
-    """Run ``stage`` on a copy whose ``table`` (a path under the output
-    directory, each row led by its class) is rewritten by ``edit``: it exits
-    2 naming the table's classes, and leaves the ``output`` directory as it was."""
+def _edit_pools(copy, edit):
+    """Rewrite the pool table's rows by ``edit``; returns its path."""
+    path = copy / "pools" / "pools.csv"
+    header, *lines = path.read_text().splitlines()
+    rows = [(int(label), rest) for label, rest in (line.split(",", 1) for line in lines)]
+    path.write_text("\n".join([header, *(f"{label},{rest}" for label, rest in edit(rows))])
+                    + "\n")
+    return path
+
+
+def _edit_train(copy, edit):
+    """Rewrite the training rows by ``edit``; returns the labels file."""
+    features, labels = copy / "data" / "train_features.npy", copy / "data" / "train_labels.npy"
+    rows = edit(list(zip(np.load(labels).tolist(), np.load(features))))
+    np.save(features, np.array([row for _, row in rows]))
+    np.save(labels, np.array([label for label, _ in rows], dtype=np.int64))
+    return labels
+
+
+def _differing_classes(pipeline, tmp_path, stage, rewrite, edit, classes, rerun, output):
+    """Run ``stage`` on a copy whose table ``rewrite`` rewrites by ``edit``:
+    it exits 2 naming the table's classes, and leaves the ``output``
+    directory as it was."""
     cfg_path, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
-    path = copy / table
-    header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    path = rewrite(copy, edit)
     assert _stage(cfg_path, copy, stage) == (
         2, f"error: {path} holds classes {classes}, the models are of classes [1, 2]; "
            f"rerun {rerun}\n")
@@ -1138,14 +1220,14 @@ def _differing_classes(pipeline, tmp_path, stage, table, edit, classes, rerun, o
 @_CLASS_EDITS
 def test_predict_exits_two_when_pool_classes_differ_from_the_models(pipeline, tmp_path,
                                                                     edit, classes):
-    _differing_classes(pipeline, tmp_path, "predict", "pools/pools.csv", edit, classes,
+    _differing_classes(pipeline, tmp_path, "predict", _edit_pools, edit, classes,
                        "calibrate", "predictions")
 
 
 @_CLASS_EDITS
 def test_calibrate_exits_two_when_training_classes_differ_from_the_models(pipeline, tmp_path,
                                                                           edit, classes):
-    _differing_classes(pipeline, tmp_path, "calibrate", "data/train.csv", edit, classes,
+    _differing_classes(pipeline, tmp_path, "calibrate", _edit_train, edit, classes,
                        "train", "pools")
 
 
@@ -1275,11 +1357,11 @@ def test_seed_override_changes_hash_and_outputs(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path]) == 0
     first = json.loads((out / "manifest.json").read_text())["config_hash"]
-    first_train = (out / "data" / "train.csv").read_bytes()
+    first_train = (out / "data" / "train_features.npy").read_bytes()
     assert main(["gen-data", "--config", cfg_path, "--seed", "99"]) == 0
     second = json.loads((out / "manifest.json").read_text())["config_hash"]
     assert first != second
-    assert (out / "data" / "train.csv").read_bytes() != first_train
+    assert (out / "data" / "train_features.npy").read_bytes() != first_train
 
 
 def test_alpha_override_flows_into_config(tmp_path):
@@ -1353,9 +1435,9 @@ def test_gen_data_from_idx_files_with_holdout_class(tmp_path):
     cfg_path = tmp_path / "idx.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["gen-data", "--config", str(cfg_path)]) == 0
-    train = load_dataset_csv(str(out_dir / "data" / "train.csv"))
-    calib = load_dataset_csv(str(out_dir / "data" / "calibration.csv"))
-    outliers = load_dataset_csv(str(out_dir / "data" / "outliers.csv"))
+    train = load_dataset_npy(str(out_dir / "data" / "train"))
+    calib = load_dataset_npy(str(out_dir / "data" / "calibration"))
+    outliers = load_dataset_npy(str(out_dir / "data" / "outliers"))
     test = load_dataset_csv(str(out_dir / "data" / "test_c0.csv"))
     # raw labels 0 and 1 become classes 1 and 2; raw 2 rows become outliers
     assert set(train.class_labels()) <= {1, 2}

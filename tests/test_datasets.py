@@ -1,14 +1,16 @@
-"""Dataset generation, contamination, IDX parsing, splits, normalization, CSV.
+"""Dataset generation, contamination, IDX parsing, splits, normalization, CSV
+and .npy files.
 
 Oracles: exact row counts, hand-built IDX byte strings, the CLT for sample
 means of synthetic draws, and exact save/load round-trips.
 """
 
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowconformal.datasets import (
@@ -21,10 +23,12 @@ from flowconformal.datasets import (
     gen_gaussian_classes,
     inject_contamination,
     load_dataset_csv,
+    load_dataset_npy,
     load_idx_dataset,
     load_idx_images,
     load_idx_labels,
     save_dataset_csv,
+    save_dataset_npy,
     sorted_labels,
     split_stratified,
 )
@@ -369,6 +373,32 @@ def test_dataset_csv_header_only_loads_empty(tmp_path):
     path.write_text("label,f_1,f_2\n")
     ds = load_dataset_csv(str(path))
     assert ds.n == 0 and ds.dim == 2
+
+
+# -- .npy round-trips -------------------------------------------------------------------------
+
+def _npy_pairs():
+    """(features, labels) of any row count, 0 included: finite float64s
+    (-0.0 and subnormals among them) and non-negative int64 labels."""
+    return st.tuples(st.integers(0, 24), st.integers(1, 5)).flatmap(lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)),
+        arrays(np.int64, shape[0], elements=st.integers(0, 2 ** 63 - 1))))
+
+
+@given(_npy_pairs())
+@example((np.empty((0, 3)), np.empty(0, dtype=np.int64)))
+@example((np.array([[-0.0, 5e-324], [2.2250738585072014e-308, -1e-320]]),
+          np.array([0, 2 ** 63 - 1])))
+def test_dataset_npy_roundtrip_is_bit_exact(pair):
+    features, labels = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = f"{tmp}/split"
+        save_dataset_npy(LabeledDataset(features, labels), stem)
+        back = load_dataset_npy(stem)
+    assert back.features.dtype == np.float64 and back.labels.dtype == np.int64
+    assert back.features.shape == features.shape
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
 
 
 @given(arrays(np.int64, st.integers(0, 60), elements=st.integers(-3, 12))

@@ -1,10 +1,15 @@
 """Every name a flowconformal module imports is used there or re-exported
 through its ``__all__``, and every module-level ``_private`` name is read
 somewhere in the package, so an import or helper that outlives the code it
-served fails here. Standard library only: the repo installs no lint tool."""
+served fails here. Each CLI stage loads only the package modules it calls.
+Standard library only: the repo installs no lint tool."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +107,77 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read_in_src():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# what cli.py may import from the package before any stage runs
+CLI_IMPORTS = {"config", "datasets", "errors", "_table", "__version__"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules (or, for ``from . import x``, the names) that the
+    module-level relative imports of ``source`` read from."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names
+                         if alias.name.startswith("flowconformal"))
+    return names
+
+
+def test_the_check_finds_a_package_import():
+    source = ("import os\nimport flowconformal.nn\nfrom . import __version__, roundtrip\n"
+              "from .config import A\n\ndef f():\n    from .baselines import B\n")
+    assert package_imports(source) == {"flowconformal.nn", "__version__", "roundtrip", "config"}
+
+
+def test_cli_imports_only_the_config_and_data_modules_up_front():
+    assert package_imports((SRC / "cli.py").read_text()) <= CLI_IMPORTS
+
+
+# each stage's run must leave these modules unexecuted
+NOT_LOADED = {
+    "train": {"baselines", "conformal", "evaluation", "special"},
+    "calibrate": {"baselines", "evaluation", "special"},
+    "predict": {"baselines", "evaluation", "special"},
+    "evaluate": set(),
+}
+
+
+def test_each_stage_loads_only_the_modules_it_calls(tmp_path):
+    # a module put in sys.modules unexecuted is a LazyLoader stub until its
+    # first use, so "loaded" means a plain module object
+    probe = ("import sys, types\n"
+             "from flowconformal.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "names = sorted(n for n in sys.modules if n.split('.')[0] == 'flowconformal')\n"
+             "run = [n for n in names if type(sys.modules[n]) is types.ModuleType]\n"
+             "print(code, ' '.join(names), ' '.join(run), sep='|')\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1, "out_dir": str(tmp_path / "out"),
+        "dataset": {"synthetic": {"means": [[0.0], [6.0]], "train_per_class": 32,
+                                  "test_per_class": 8, "outlier": {"mean": [12.0], "n": 20}}},
+        "model": {"latent_dim": 1, "gen_hidden": [4], "inv_hidden": [4], "disc_hidden": [4],
+                  "train": {"epochs": 1, "batch_size": 16}},
+        "baselines": {"epochs": 1},
+    }))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    package = {f"flowconformal.{path.stem}" for path in SRC.glob("*.py")
+               if path.stem != "__init__"} | {"flowconformal"}
+    for stage in ("gen-data", "train", "calibrate", "predict", "evaluate"):
+        done = subprocess.run([sys.executable, "-c", probe, stage, "--config", str(config)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        code, names, run = done.stdout.strip().split("|")
+        assert code == "0", (stage, done.stderr)
+        # every module is in sys.modules, run or not, so a tool that wraps the
+        # package's functions after importing cli finds each of them
+        assert set(names.split()) == package, stage
+        loaded = {name.removeprefix("flowconformal.") for name in run.split()}
+        if stage == "gen-data":
+            assert loaded == {"flowconformal", *CLI_IMPORTS - {"__version__"}, "cli"}
+        else:
+            assert not loaded & NOT_LOADED[stage], (stage, sorted(loaded))
