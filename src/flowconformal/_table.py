@@ -84,9 +84,11 @@ def write_table(path: str, header, columns, formats) -> None:
 
 
 def write_json(path: str, doc) -> None:
-    """Write ``doc`` as one line of compact JSON; a NaN or infinity raises ValueError."""
+    """Write ``doc`` as one line of compact JSON; a NaN or infinity raises
+    ValueError before ``path`` is opened, so the file is left as it was."""
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def read_json(path: str, keys) -> dict:

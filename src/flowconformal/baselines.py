@@ -9,6 +9,9 @@ its true class, the threshold is the ceil((n+1)(1-alpha))-th smallest score
 (clamped to 1 when that index exceeds n), and test sets include classes until
 the cumulative mass reaches the threshold. Neither baseline can return an
 empty set.
+
+``fit_baselines`` fits a run's classifier and APS calibration, for
+``evaluate`` and the acceptance checks alike.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .autodiff import Tensor
 from ._table import FLOAT, write_matrix
 from .config import ClassifierConfig
-from .datasets import sorted_labels
+from .datasets import LabeledDataset, sorted_labels, split_stratified
 from .errors import ConfigError, DataError
 from .nn import Adam, Mlp, MlpSpec
 
@@ -32,6 +35,7 @@ __all__ = [
     "ApsCalibration",
     "aps_calibrate",
     "aps_set",
+    "fit_baselines",
     "save_prob_matrix",
 ]
 
@@ -199,6 +203,30 @@ def aps_calibrate(probs: np.ndarray, labels: np.ndarray, class_labels,
 def aps_set(probs: np.ndarray, cal: ApsCalibration) -> np.ndarray:
     """Top classes until cumulative mass reaches the calibrated threshold."""
     return _mass_set(probs, cal.threshold)
+
+
+def fit_baselines(train: LabeledDataset, calib: LabeledDataset, config: ClassifierConfig,
+                  calibration_fraction: float, alpha: float, seed: int):
+    """(classifier, APS calibration at ``alpha``) of a run seeded with ``seed``.
+
+    Without calibration rows, ``calibration_fraction`` of each class's
+    training rows calibrate APS; a class left no row on one side is a
+    ConfigError. The training rows go before the calibration rows are
+    scored, when the caller passed the only reference to them.
+    """
+    if calib.n == 0:
+        classes = train.class_labels()
+        train, calib = split_stratified(train, calibration_fraction, seed + 60_000)
+        for label in classes:
+            sides = [int(np.count_nonzero(part.labels == label)) for part in (train, calib)]
+            if 0 in sides:
+                raise ConfigError(f"baselines.calibration_fraction {calibration_fraction} leaves "
+                                  f"class {label} ({sum(sides)} training rows) {sides[0]} rows "
+                                  f"to train the classifier and {sides[1]} to calibrate APS")
+    clf = train_softmax_classifier(train.features, train.labels, config, seed=seed + 70_000)
+    del train
+    return clf, aps_calibrate(clf.predict_proba(calib.features), calib.labels,
+                              clf.class_labels, alpha)
 
 
 # -- CSV round-trip ---------------------------------------------------------------

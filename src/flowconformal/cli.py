@@ -1,6 +1,16 @@
 """Command-line pipeline: data generation, per-class training, score-pool
 calibration, prediction, and evaluation, driven by one JSON config.
 
+A stage reads its inputs, calls the module that owns its computation, and
+writes what that returns. This module adds no seed offset and computes
+nothing of its own; the acceptance checks call the same functions in memory:
+
+    gen-data   datasets.make_splits, datasets.contaminated_arms
+    train      datasets.fit_normalizer, roundtrip.train_class_flows
+    calibrate  conformal.build_score_pool
+    predict    conformal.p_value_matrix, conformal.predictive_set
+    evaluate   baselines.fit_baselines, evaluation.grade_arm
+
 Stages persist their outputs under the configured output directory so each
 can be rerun or tested in isolation:
 
@@ -14,35 +24,23 @@ can be rerun or tested in isolation:
                   histograms, and a method-by-rate comparison CSV
     manifest.json config hash, artifact index, timestamps
 
-``train`` trains the class models in up to four processes per usable CPU, this
-one included (``roundtrip.train_class_flows``); the models are the same
-bytes as training the classes one after another.
-
-``evaluate`` checks that every arm has its predictions and fits the
-baselines' classifier once. Then it grades one test arm at a time and lets
-it go before the next loads: flow's sets come from the arm's p-value file,
-the baselines' from the classifier's probabilities, each at the stage's
-alpha. Each report grades a method from its sets alone; flow's p-values feed
-only the KS checks and the histograms. The sets files are ``predict``'s
+``evaluate`` grades one test arm at a time, each method at its own alpha,
+and lets it go before the next loads. The sets files are ``predict``'s
 output for users, made at predict's alpha; ``evaluate`` checks their classes
 and rows against the p-values and does not grade them.
 
-The class rows go to ``.npy`` because no one reads them as text: ``train``,
-``calibrate`` and ``evaluate`` load them in milliseconds where the CSV took
-tens, and hold no parse buffers. The test arms stay CSV, since
-``predict --test-file`` scores a CSV arm a user may write. The training and
-calibration rows hold class rows only: a stage that reads an outlier label
-(0) there exits 2, naming the labels file and the row.
+The class rows are ``.npy``; the test arms stay CSV, since
+``predict --test-file`` scores a CSV arm a user may write. A training or
+calibration row with the outlier label (0) exits 2, naming the file and row.
 
-Each stage loads only the package modules it calls. This module imports
-``config``, ``datasets``, ``_table`` and ``errors``; each stage function
-imports what it calls from the others when it runs, so ``gen-data`` never
-loads the training or scoring code. The other modules are put in
+Each stage loads only the package modules it calls: this module imports
+``config``, ``datasets``, ``_table`` and ``errors``, and each stage imports
+the rest of what it calls when it runs. The other modules are put in
 ``sys.modules`` unexecuted (``_register_lazily``) and each runs on its first
 use, so a tool that wraps the package's functions right after importing this
 module (``perfbench/tracer.py``) still finds every module.
 
-Each decision has one source. A missing data, arm or pool file exits 2
+Each input check has one source. A missing data, arm or pool file exits 2
 through ``_existing``, naming the file and the stage that writes it. The
 config's ``normalize`` alone decides whether a stage normalizes; a
 ``models/normalizer.json`` whose presence disagrees with it exits 2. The
@@ -74,20 +72,17 @@ from ._table import read_json, write_json
 from .config import ClassifierConfig, ConformalConfig, FlowArchitecture, TrainConfig
 from .datasets import (
     OUTLIER,
-    ContaminationSpec,
     LabeledDataset,
     Normalizer,
     SyntheticSpec,
+    contaminated_arms,
     fit_normalizer,
-    gen_gaussian_classes,
-    inject_contamination,
     load_dataset_csv,
     load_dataset_npy,
-    load_idx_dataset,
+    make_splits,
     npy_paths,
     save_dataset_csv,
     save_dataset_npy,
-    split_stratified,
 )
 from .errors import ConfigError, DataError
 
@@ -409,75 +404,19 @@ def _ensure_dirs(cfg: ExperimentConfig) -> None:
 
 def cmd_gen_data(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
-    if "synthetic" in cfg.dataset:
-        train, calib, test, outliers = _gen_synthetic(cfg)
-    else:
-        train, calib, test, outliers = _load_idx_splits(cfg)
-        # the image size is known only now; check the latent size before writing
-        _checked("model", FlowArchitecture, input_dim=train.dim, **cfg.model)
+    train, calib, test, outliers = make_splits(cfg.dataset, cfg.seed)
+    # an IDX image size is known only now; check the latent size before writing
+    _checked("model", FlowArchitecture, input_dim=train.dim, **cfg.model)
 
     written = []
     for name, ds in (("train", train), ("calibration", calib), ("outliers", outliers)):
         written.extend(save_dataset_npy(ds, cfg.path("data", name)))
-    for i, rate in enumerate(cfg.rates):
-        arm = inject_contamination(
-            test, ContaminationSpec(rate, outliers.features, seed=cfg.seed + 40_000 + i)
-        )
+    for rate, arm in zip(cfg.rates, contaminated_arms(test, outliers, cfg.rates, cfg.seed)):
         p = cfg.test_csv(rate)
         save_dataset_csv(arm, p)
         written.append(p)
     _finish_stage(cfg, "gen-data", written)
     return written
-
-
-def _gen_synthetic(cfg: ExperimentConfig):
-    syn = cfg.dataset["synthetic"]
-    means, covs = syn["means"], syn["covariances"]
-
-    train = gen_gaussian_classes(SyntheticSpec(
-        means=means, n_per_class=syn["train_per_class"], seed=cfg.seed, covariances=covs))
-    if syn["calibration_per_class"] > 0:
-        calib = gen_gaussian_classes(SyntheticSpec(
-            means=means, n_per_class=syn["calibration_per_class"], seed=cfg.seed + 10_000,
-            covariances=covs))
-    else:
-        calib = LabeledDataset(np.empty((0, train.dim)), np.empty(0, dtype=np.int64))
-    test = gen_gaussian_classes(SyntheticSpec(
-        means=means, n_per_class=syn["test_per_class"], seed=cfg.seed + 20_000,
-        covariances=covs))
-
-    out = syn["outlier"]
-    outliers = gen_gaussian_classes(SyntheticSpec(
-        means=[out["mean"]], n_per_class=out["n"], seed=cfg.seed + 30_000,
-        covariances=None if out["covariance"] is None else [out["covariance"]]))
-    # exported with label 0: these rows are never a training class
-    outliers = LabeledDataset(outliers.features, np.zeros(outliers.n, dtype=np.int64))
-    return train, calib, test, outliers
-
-
-def _load_idx_splits(cfg: ExperimentConfig):
-    idx = cfg.dataset["idx"]
-    train_all = load_idx_dataset(idx["train_images"], idx["train_labels"])
-    test_all = load_idx_dataset(idx["test_images"], idx["test_labels"])
-    holdout = idx["holdout_raw_label"]
-    frac = idx["calibration_fraction"]
-    if holdout is not None:
-        internal = holdout + 1
-        keep_train = train_all.labels != internal
-        train_all = train_all.take(np.flatnonzero(keep_train))
-        out_rows = np.flatnonzero(test_all.labels == internal)
-        outliers = LabeledDataset(test_all.features[out_rows],
-                                  np.zeros(out_rows.size, dtype=np.int64))
-        test = test_all.take(np.flatnonzero(test_all.labels != internal))
-    else:
-        outliers = LabeledDataset(np.empty((0, train_all.dim)), np.empty(0, dtype=np.int64))
-        test = test_all
-    if frac > 0:
-        train, calib = split_stratified(train_all, frac, cfg.seed + 50_000)
-    else:
-        train = train_all
-        calib = LabeledDataset(np.empty((0, train_all.dim)), np.empty(0, dtype=np.int64))
-    return train, calib, test, outliers
 
 
 def _existing(path: str, stage: str) -> str:
@@ -496,10 +435,10 @@ def _same_classes(path: str, classes, models, rerun: str) -> None:
                         f"{model_classes}; rerun {rerun}")
 
 
-def _load_class_rows(stem: str) -> LabeledDataset:
-    """The dataset whose ``.npy`` pair ``gen-data`` wrote at ``stem``, which
-    may hold no outlier row: a model or classifier fit on one would take the
-    outlier token for a class."""
+def _load_class_rows(stem: str, norm: Normalizer | None = None) -> LabeledDataset:
+    """The dataset whose ``.npy`` pair ``gen-data`` wrote at ``stem``, its
+    features normalized in place by ``norm``. It may hold no outlier row: a
+    model or classifier fit on one would take the outlier token for a class."""
     features_path, labels_path = npy_paths(stem)
     _existing(features_path, "gen-data")
     _existing(labels_path, "gen-data")
@@ -508,6 +447,7 @@ def _load_class_rows(stem: str) -> LabeledDataset:
     if outliers.size:
         raise DataError(f"{labels_path}: row {outliers[0] + 1} has the outlier label "
                         f"{OUTLIER}; training and calibration rows must be of a class")
+    _normalize(norm, ds.features)
     return ds
 
 
@@ -542,9 +482,9 @@ def cmd_train(cfg: ExperimentConfig) -> list[str]:
         raise DataError("training data has no class rows")
 
     norm = fit_normalizer(train.features) if cfg.normalize else None
-    arch = FlowArchitecture(input_dim=train.dim, **cfg.model)
-    config = TrainConfig(**cfg.train, seed=cfg.seed)
-    trained = train_class_flows(_normalize(norm, train.features), train.labels, arch, config)
+    trained = train_class_flows(_normalize(norm, train.features), train.labels,
+                                FlowArchitecture(input_dim=train.dim, **cfg.model),
+                                TrainConfig(**cfg.train, seed=cfg.seed))
 
     norm_path = cfg.path("models", "normalizer.json")
     paths = [(cfg.path("models", f"class_{model.class_label}.json"),
@@ -592,10 +532,9 @@ def cmd_calibrate(cfg: ExperimentConfig) -> list[str]:
     _ensure_dirs(cfg)
     models = _load_models(cfg)
     stem = cfg.path("data", "train")
-    train = _load_class_rows(stem)
+    train = _load_class_rows(stem, _load_normalizer(cfg))
     _same_classes(npy_paths(stem)[1], train.class_labels(), models, "train")
-    feats = _normalize(_load_normalizer(cfg), train.features)
-    pools = [build_score_pool(model, feats[train.labels == model.class_label])
+    pools = [build_score_pool(model, train.features[train.labels == model.class_label])
              for model in models]
     p = cfg.path("pools", "pools.csv")
     save_pools(pools, p)
@@ -651,8 +590,14 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[str]:
             raise DataError(f"predictions missing for rate {rate}; run predict first")
     norm = baseline = None
     if cfg.baselines_enabled:
+        from .baselines import fit_baselines
+
         norm = _load_normalizer(cfg)
-        baseline = _fit_classifier(cfg, norm)
+        # passed, not named here, so the fit can let go of the training rows
+        baseline = fit_baselines(_load_class_rows(cfg.path("data", "train"), norm),
+                                 _load_class_rows(cfg.path("data", "calibration"), norm),
+                                 cfg.classifier, cfg.calibration_fraction, cfg.conformal.alpha,
+                                 cfg.seed)
     written, comparison_rows = [], []
     for rate in cfg.rates:
         paths, rows = _grade_arm(cfg, rate, norm, baseline)
@@ -674,12 +619,10 @@ def _prediction_paths(cfg: ExperimentConfig, token: str) -> tuple[str, str]:
 
 
 def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, baseline):
-    """(paths written, comparison rows) of one test arm: each method's report,
-    flow's histograms and, with ``baseline`` (the classifier and its APS
-    calibration), the arm's probabilities. The arm goes when this returns."""
-    from .baselines import aps_set, save_prob_matrix, scaling_set
-    from .conformal import load_p_values, load_sets, predictive_set
-    from .evaluation import build_report, emit_histogram, emit_report
+    """(paths written, comparison rows) of one test arm: its reports, flow's
+    histograms and, with ``baseline``, its probabilities. The arm goes after."""
+    from .conformal import load_p_values, load_sets
+    from .evaluation import emit_histogram, emit_report, grade_arm
 
     token = cfg.rate_token(rate)
     pv_path, set_path = _prediction_paths(cfg, token)
@@ -699,20 +642,17 @@ def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, base
     if saved.shape[0] != test.n or matrix.shape[0] != test.n:
         raise DataError(f"prediction row count disagrees with {test_path}")
 
-    written = []
-    # (method, class labels, sets at alpha, p-values or None)
-    graded = [("flow", labels, predictive_set(matrix, cfg.conformal.alpha), matrix)]
+    written, probs = [], None
     if baseline is not None:
-        clf, cal = baseline
-        probs = clf.predict_proba(_normalize(norm, test.features))
+        from .baselines import save_prob_matrix
+
+        probs = baseline[0].predict_proba(_normalize(norm, test.features))
         pp = cfg.path("predictions", f"probs_{token}.csv")
-        save_prob_matrix(pp, clf.class_labels, probs)
+        save_prob_matrix(pp, baseline[0].class_labels, probs)
         written.append(pp)
-        graded += [("scaling", clf.class_labels, scaling_set(probs, cfg.conformal.alpha), None),
-                   ("aps", clf.class_labels, aps_set(probs, cal), None)]
     rows = []
-    for method, classes, sets, p_matrix in graded:
-        report = build_report(sets, test.labels, classes, p_matrix=p_matrix)
+    for method, _, report in grade_arm(test.labels, labels, matrix, cfg.conformal.alpha,
+                                       baseline, probs):
         rp = cfg.path("reports", f"report_{method}_{token}.json")
         emit_report(report, rp)
         written.append(rp)
@@ -722,22 +662,6 @@ def _grade_arm(cfg: ExperimentConfig, rate: float, norm: Normalizer | None, base
         emit_histogram(matrix[test.labels == cls, j], hp)
         written.append(hp)
     return written, rows
-
-
-def _fit_classifier(cfg: ExperimentConfig, norm: Normalizer | None):
-    """(the baselines' classifier, its APS calibration), from the training and
-    calibration rows, which are let go of before any arm is scored."""
-    from .baselines import aps_calibrate, train_softmax_classifier
-
-    train = _load_class_rows(cfg.path("data", "train"))
-    calib = _load_class_rows(cfg.path("data", "calibration"))
-    if calib.n == 0:
-        train, calib = split_stratified(train, cfg.calibration_fraction, cfg.seed + 60_000)
-    clf = train_softmax_classifier(_normalize(norm, train.features), train.labels,
-                                   cfg.classifier, seed=cfg.seed + 70_000)
-    del train
-    cal_probs = clf.predict_proba(_normalize(norm, calib.features))
-    return clf, aps_calibrate(cal_probs, calib.labels, clf.class_labels, cfg.conformal.alpha)
 
 
 _STAGES = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,

@@ -35,7 +35,6 @@ __all__ = [
     "ScorePool",
     "nonconformity_scores",
     "build_score_pool",
-    "p_value",
     "p_value_matrix",
     "predictive_set",
     "save_pools",
@@ -97,11 +96,6 @@ def _p_from_sorted(scores: np.ndarray, t_new: np.ndarray, mode: str) -> np.ndarr
     if mode == "paper-literal":
         return np.searchsorted(scores, t_new, side="right") / n
     raise ConfigError(f"p_value_mode must be one of {P_VALUE_MODES}, got {mode!r}")
-
-
-def p_value(pool: ScorePool, t_new: float, mode: str = "smoothed") -> float:
-    """Conformal p-value of a new score against a class pool."""
-    return float(_p_from_sorted(pool.scores, np.float64(t_new), mode))
 
 
 def _check_aligned(models, pools) -> None:

@@ -4,6 +4,10 @@ stratified splits, normalization, and the two file formats of a dataset.
 Class labels are positive integers 1..L; the reserved label 0 marks outlier
 rows (``OUTLIER``). IDX digit labels 0..9 therefore load as 1..10.
 
+A run's rows come from ``make_splits`` and ``contaminated_arms``, which
+``gen-data`` writes and the acceptance checks call in memory; each draw's
+seeded stream is named once, there.
+
 A dataset is saved in one of two forms, each of which round-trips exactly:
 
 - two ``.npy`` files (``save_dataset_npy``/``load_dataset_npy``):
@@ -36,6 +40,8 @@ __all__ = [
     "ContaminationSpec",
     "gen_gaussian_classes",
     "inject_contamination",
+    "make_splits",
+    "contaminated_arms",
     "load_idx_images",
     "load_idx_labels",
     "load_idx_dataset",
@@ -202,6 +208,55 @@ def inject_contamination(inliers: LabeledDataset, spec: ContaminationSpec) -> La
     return combined.take(rng.permutation(combined.n))
 
 
+def _outliers(features: np.ndarray) -> LabeledDataset:
+    return LabeledDataset(features, np.full(len(features), OUTLIER))
+
+
+def make_splits(dataset: dict, seed: int):
+    """(train, calibration, test, outliers) of a config's typed ``dataset``
+    section (``synthetic`` or ``idx``) and run seed; outlier rows carry the
+    label 0 and an absent split is empty. An IDX ``holdout_raw_label``'s test
+    rows are the outliers and its training rows are dropped; a
+    ``calibration_fraction`` holds out that share of each class."""
+    if "synthetic" in dataset:
+        syn = dataset["synthetic"]
+        means, covs = syn["means"], syn["covariances"]
+        train = gen_gaussian_classes(SyntheticSpec(means, syn["train_per_class"], seed, covs))
+        calib = (gen_gaussian_classes(SyntheticSpec(means, syn["calibration_per_class"],
+                                                    seed + 10_000, covs))
+                 if syn["calibration_per_class"] > 0 else train.take([]))
+        test = gen_gaussian_classes(SyntheticSpec(means, syn["test_per_class"],
+                                                  seed + 20_000, covs))
+        out = syn["outlier"]
+        drawn = gen_gaussian_classes(SyntheticSpec(
+            [out["mean"]], out["n"], seed + 30_000,
+            None if out["covariance"] is None else [out["covariance"]]))
+        return train, calib, test, _outliers(drawn.features)
+
+    idx = dataset["idx"]
+    train = load_idx_dataset(idx["train_images"], idx["train_labels"])
+    test = load_idx_dataset(idx["test_images"], idx["test_labels"])
+    outliers = test.take([])
+    if idx["holdout_raw_label"] is not None:
+        label = idx["holdout_raw_label"] + 1
+        train = train.take(np.flatnonzero(train.labels != label))
+        held = test.labels == label
+        outliers = _outliers(test.features[held])
+        test = test.take(np.flatnonzero(~held))
+    if idx["calibration_fraction"] > 0:
+        return (*split_stratified(train, idx["calibration_fraction"], seed + 50_000),
+                test, outliers)
+    return train, train.take([]), test, outliers
+
+
+def contaminated_arms(test: LabeledDataset, outliers: LabeledDataset, rates, seed: int):
+    """Yield the test arm of each of ``rates`` in turn, made only when asked
+    for: ``test`` plus that share of rows drawn from ``outliers``, shuffled."""
+    for i, rate in enumerate(rates):
+        yield inject_contamination(
+            test, ContaminationSpec(rate, outliers.features, seed=seed + 40_000 + i))
+
+
 # -- IDX binary files -----------------------------------------------------------
 
 def _read_idx(path: str, expect_magic: int) -> bytes:
@@ -326,12 +381,20 @@ class Normalizer:
 
 
 def fit_normalizer(features: np.ndarray) -> Normalizer:
-    """Per-feature mean/std; zero-variance features keep unit scale (with a warning)."""
+    """Per-feature mean/std; zero-variance features keep unit scale (with a
+    warning). A feature whose mean or std overflows float64 is a DataError
+    naming it, raised before anything is trained on the rows."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("normalizer needs a 2-D array with at least 2 rows")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        j = int(bad[0])
+        raise DataError(f"feature f_{j + 1} has mean {float(mean[j])!r} and std "
+                        f"{float(std[j])!r}, past the float64 range; rescale it")
     flat = std < 1e-12
     if np.any(flat):
         warnings.warn(

@@ -13,6 +13,9 @@ the ideal value is 0.
 Every method is graded from its sets alone, by the rule that built them: a
 class's type-I rate is the share of its own test rows whose set lacks it.
 P-values, when given, feed only the KS uniformity check.
+
+``grade_arm`` holds the list of methods, for ``evaluate`` and the acceptance
+checks alike: it builds and grades each method's sets on one test arm.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._table import FLOAT, write_json, write_table
+from .conformal import predictive_set
 from .datasets import OUTLIER
 from .errors import ConfigError, DataError
 from .special import chi2_cdf
@@ -39,6 +43,7 @@ __all__ = [
     "chi2_moment_check",
     "EvalReport",
     "build_report",
+    "grade_arm",
     "emit_report",
     "emit_histogram",
     "emit_comparison",
@@ -209,6 +214,22 @@ def build_report(sets, labels, class_labels, p_matrix: np.ndarray | None = None,
         "per_class": per_class,
     }
     return report
+
+
+def grade_arm(labels, classes, p_matrix, alpha: float, baseline=None, probs=None) -> list:
+    """(method, sets, report) of each method on a test arm with ``labels``:
+    flow's sets from ``p_matrix`` (columns ``classes``) at ``alpha``; with
+    ``baseline``, the pair ``baselines.fit_baselines`` returns, the scaling
+    and APS sets from its classifier's probabilities ``probs`` of the arm."""
+    graded = [("flow", classes, predictive_set(p_matrix, alpha), p_matrix)]
+    if baseline is not None:
+        from .baselines import aps_set, scaling_set
+
+        clf, cal = baseline
+        graded += [("scaling", clf.class_labels, scaling_set(probs, alpha), None),
+                   ("aps", clf.class_labels, aps_set(probs, cal), None)]
+    return [(method, sets, build_report(sets, labels, cols, p_matrix=pm))
+            for method, cols, sets, pm in graded]
 
 
 def emit_report(report: EvalReport, path: str) -> None:

@@ -6,14 +6,13 @@ mn. There is one implementation, a single autodiff node: its forward builds
 the three Gaussian Gram matrices from ||a||^2 + ||b||^2 - 2ab^T on rows
 centred at their pooled mean, and its backward is the closed form
 d/da_i = -(2/h^2) sum_j w_ij (a_i - b_j), taken as row sums plus two
-matrix products per operand. The plain numeric entry point wraps constants
-around the same node, so the training loss and the reported estimate can
-never disagree. The median heuristic reads its distances from the same
-Gram expansion and takes the roots of only the middle ones, after one
-partition of the squared distances. The product ab^T is a plain gemm on a
-contiguous copy of b^T, which OpenBLAS keeps single-threaded at training
-sizes, so class models trained in parallel processes do not contend for
-BLAS threads.
+matrix products per operand. The tests' numeric estimate wraps constants
+around the same node, so the estimate they check is the training loss. The
+median heuristic reads its distances from the same Gram expansion and takes
+the roots of only the middle ones, after one partition of the squared
+distances. The product ab^T is a plain gemm on a contiguous copy of b^T,
+which OpenBLAS keeps single-threaded at training sizes, so class models
+trained in parallel processes do not contend for BLAS threads.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "KernelSpec",
-    "Mmd2Estimate",
     "median_bandwidth",
     "resolve_bandwidth",
-    "mmd2_unbiased",
     "mmd2_unbiased_graph",
 ]
 
@@ -178,18 +175,3 @@ def mmd2_unbiased_graph(u, v, spec: KernelSpec) -> Tensor:
                       - wyy @ y + wxy.T @ x) * s)
 
     return a._make(np.asarray(value, dtype=np.float64), (a, b), backward)
-
-
-@dataclass(frozen=True)
-class Mmd2Estimate:
-    value: float
-    m: int
-    n: int
-
-
-def mmd2_unbiased(u: np.ndarray, v: np.ndarray, spec: KernelSpec) -> Mmd2Estimate:
-    """Numeric unbiased squared MMD between two sample sets."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    node = mmd2_unbiased_graph(u, v, spec)
-    return Mmd2Estimate(value=float(node.data), m=u.shape[0], n=v.shape[0])

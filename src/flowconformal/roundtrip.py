@@ -62,7 +62,6 @@ __all__ = [
     "ClassFlowModel",
     "SavedClassFlow",
     "build_class_flow",
-    "loss_forward_gan",
     "loss_latent_mmd",
     "loss_cycle",
     "loss_pred_finetune",
@@ -245,21 +244,6 @@ def _gen_loss(model: ClassFlowModel, z_batch: np.ndarray) -> Tensor:
         p._accum(grad(-g))
 
     return p._make(-m, (p,), backward)
-
-
-def loss_forward_gan(model: ClassFlowModel, real_batch: np.ndarray,
-                     z_batch: np.ndarray) -> tuple[Tensor, Tensor]:
-    """(discriminator loss, non-saturating generator loss) for one batch pair.
-
-    The discriminator loss sees generated rows as constants, so its gradient
-    stays inside D; the generator loss differentiates through D into G.
-    """
-    real_batch = np.asarray(real_batch, dtype=np.float64)
-    z_batch = np.asarray(z_batch, dtype=np.float64)
-    if real_batch.shape[0] == 0 or z_batch.shape[0] == 0:
-        raise DataError("batches must be non-empty")
-    d_loss = _disc_loss(model, real_batch, model.generator.predict(z_batch))
-    return d_loss, _gen_loss(model, z_batch)
 
 
 def loss_latent_mmd(model: ClassFlowModel, real_batch: np.ndarray,

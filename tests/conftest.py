@@ -1,6 +1,7 @@
 """Shared test fixtures: central finite-difference gradient oracles, the
 text of a class model's four networks, the OpenBLAS core that bit-exact
-tests gate on, and the hypothesis profile of the property tests.
+tests gate on, the README's minimal config, and the hypothesis profile of
+the property tests.
 
 The gradient checks treat the tape engine as the object under test, so the
 oracle side never touches Tensor internals: it re-evaluates the loss as a
@@ -19,6 +20,15 @@ import numpy as np
 from hypothesis import settings
 
 from flowconformal.nn import mlp_to_dict
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config() -> dict:
+    """The JSON document of the README's minimal synthetic config."""
+    text = README.read_text().split("A minimal synthetic config:\n\n```json\n", 1)[1]
+    return json.loads(text.split("```", 1)[0])
+
 
 settings.register_profile("flowconformal", deadline=None, derandomize=True)
 settings.load_profile("flowconformal")

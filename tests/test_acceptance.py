@@ -1,11 +1,16 @@
 """Acceptance checks: one test per numbered requirement of the release checklist.
 
-The reference problem is three Gaussian classes in the plane at (0,0), (4,0),
-(0,4) with unit covariance, 2000 training and 500 test rows per class, latent
-dimension 2, alpha = 0.05, and a held-out outlier population at (12,12)
-feeding a 10% contamination arm; everything runs over five seeds. Each test
-prints one "[check N] PASS/FAIL" line with the measured numbers (visible with
-pytest -s); pytest -v shows one outcome line per check either way.
+The reference problem is the README's minimal config: three Gaussian classes
+in the plane at (0,0), (4,0), (0,4) with unit covariance, 2000 training and
+500 test rows per class, latent dimension 2, alpha = 0.05, and a held-out
+outlier population at (12,12) feeding a 10% contamination arm; everything
+runs over five seeds, unnormalized, with a 400-row outlier pool. The runs
+call the functions the CLI stages call (``datasets.make_splits`` and
+``contaminated_arms``, ``baselines.fit_baselines``,
+``evaluation.grade_arm``), in memory, so every seeded stream comes from the
+one place the stages take it from. Each test prints one "[check N]
+PASS/FAIL" line with the measured numbers (visible with pytest -s); pytest
+-v shows one outcome line per check either way.
 """
 
 import math
@@ -15,52 +20,35 @@ import pytest
 
 from flowconformal.baselines import (
     ApsCalibration,
-    ClassifierConfig,
     aps_calibrate,
     aps_set,
+    fit_baselines,
     scaling_set,
-    train_softmax_classifier,
 )
-from flowconformal.conformal import (
-    ScorePool,
-    build_score_pool,
-    p_value,
-    p_value_matrix,
-    predictive_set,
-)
-from flowconformal.datasets import (
-    ContaminationSpec,
-    SyntheticSpec,
-    gen_gaussian_classes,
-    inject_contamination,
-    split_stratified,
-)
-from flowconformal.evaluation import (
-    chi2_moment_check,
-    coverage,
-    ks_uniformity,
-)
-from flowconformal.kernels import KernelSpec, mmd2_unbiased
+from flowconformal.cli import ExperimentConfig
+from flowconformal.conformal import ScorePool, build_score_pool, p_value_matrix, predictive_set
+from flowconformal.datasets import contaminated_arms, make_splits
+from flowconformal.evaluation import chi2_moment_check, grade_arm, ks_uniformity
+from flowconformal.kernels import KernelSpec
 from flowconformal.nn import ACTIVATIONS, Mlp, MlpSpec
 from flowconformal.roundtrip import (
     ClassFlowModel,
     FlowArchitecture,
     TrainConfig,
     loss_cycle,
-    loss_forward_gan,
     loss_latent_mmd,
     loss_pred_finetune,
     train_class_flows,
 )
 from flowconformal.special import chi2_cdf
+from conformal_oracle import p_value
+from conftest import readme_config
+from loss_oracle import loss_forward_gan, mmd2_unbiased
 from tape_oracle import TapeTensor
 
 ALPHA = 0.05
 SEEDS = (0, 1, 2, 3, 4)
-MEANS = ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))
 CLASSES = (1, 2, 3)
-N_TRAIN = 2000
-N_TEST = 500
 RATE = 0.10
 
 
@@ -71,47 +59,43 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 # -- reference runs shared by checks 1-4 and 8 ----------------------------------------
 
-def _run_seed(seed: int) -> dict:
-    train = gen_gaussian_classes(SyntheticSpec(
-        means=MEANS, n_per_class=N_TRAIN, seed=seed))
-    test = gen_gaussian_classes(SyntheticSpec(
-        means=MEANS, n_per_class=N_TEST, seed=seed + 20_000))
-    out_pool = gen_gaussian_classes(SyntheticSpec(
-        means=((12.0, 12.0),), n_per_class=400, seed=seed + 30_000)).features
+def _reference_config(seed: int) -> ExperimentConfig:
+    doc = readme_config()
+    doc.update(seed=seed, normalize=False, contamination={"rates": [0.0, RATE]})
+    doc["dataset"]["synthetic"]["outlier"]["n"] = 400
+    return ExperimentConfig.from_dict(doc)
 
-    arch = FlowArchitecture(input_dim=2, latent_dim=2)
+
+def _run_seed(seed: int) -> dict:
+    cfg = _reference_config(seed)
+    assert cfg.conformal.alpha == ALPHA
+    train, calib, test, outliers = make_splits(cfg.dataset, cfg.seed)
+    arch = FlowArchitecture(input_dim=train.dim, **cfg.model)
     # class c trains on its rows against all other rows, seeded with seed + c
-    cfg = TrainConfig(epochs=40, batch_size=128, seed=seed, w_mmd=8.0, w_cycle=0.5)
-    models = [model for model, _ in train_class_flows(train.features, train.labels, arch, cfg)]
+    trained = train_class_flows(train.features, train.labels, arch,
+                                TrainConfig(**cfg.train, seed=cfg.seed))
+    models = [model for model, _ in trained]
     assert tuple(m.class_label for m in models) == CLASSES
     pools = [build_score_pool(m, train.features[train.labels == m.class_label])
              for m in models]
-
-    clf_train, aps_cal = split_stratified(train, 0.5, seed + 60_000)
-    clf = train_softmax_classifier(clf_train.features, clf_train.labels,
-                                   ClassifierConfig(), seed=seed + 70_000)
-    cal = aps_calibrate(clf.predict_proba(aps_cal.features), aps_cal.labels,
-                        clf.class_labels, ALPHA)
+    baseline = fit_baselines(train, calib, cfg.classifier, cfg.calibration_fraction,
+                             ALPHA, cfg.seed)
 
     res = {"flow": {}, "scaling": {}, "aps": {}}
-    for i, rate in enumerate((0.0, RATE)):
-        arm = inject_contamination(
-            test, ContaminationSpec(rate, out_pool, seed=seed + 40_000 + i))
-        order, pmat = p_value_matrix(models, pools, arm.features)
-        sets = predictive_set(pmat, ALPHA)
-        res["flow"][rate] = coverage(sets, arm.labels, order)
-        probs = clf.predict_proba(arm.features)
-        res["scaling"][rate] = coverage(scaling_set(probs, ALPHA), arm.labels,
-                                        clf.class_labels)
-        res["aps"][rate] = coverage(aps_set(probs, cal), arm.labels, clf.class_labels)
+    for rate, arm in zip(cfg.rates, contaminated_arms(test, outliers, cfg.rates, cfg.seed)):
+        order, pmat = p_value_matrix(models, pools, arm.features, cfg.conformal.p_value_mode)
+        graded = grade_arm(arm.labels, order, pmat, ALPHA, baseline,
+                           baseline[0].predict_proba(arm.features))
+        for method, _, report in graded:
+            res[method][rate] = report.coverage
+        _, sets, flow = graded[0]  # flow's entry comes first
         if rate == 0.0:
             res["own_p"] = {cls: pmat[arm.labels == cls, j]
                             for j, cls in enumerate(order)}
         else:
             inlier = arm.labels != 0
-            empty = ~sets.any(axis=1)
-            res["inlier_empty"] = float(np.mean(empty[inlier]))
-            res["detection"] = float(np.mean(empty[~inlier]))
+            res["inlier_empty"] = float(np.mean(~sets[inlier].any(axis=1)))
+            res["detection"] = flow.outlier_detection_rate
     return res
 
 

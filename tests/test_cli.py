@@ -20,6 +20,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from dataclasses import MISSING
 
@@ -28,11 +29,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowconformal import baselines, cli, roundtrip
+from flowconformal._table import read_matrix
 from flowconformal.cli import _SCHEMA, ExperimentConfig, build_parser, load_config, main
-from flowconformal.conformal import load_p_values, load_sets
-from flowconformal.datasets import load_dataset_csv, load_dataset_npy
+from flowconformal.conformal import build_score_pool, load_p_values, load_sets, p_value_matrix
+from flowconformal.datasets import (
+    contaminated_arms,
+    fit_normalizer,
+    load_dataset_csv,
+    load_dataset_npy,
+    make_splits,
+)
+from flowconformal.evaluation import grade_arm
 from flowconformal.errors import ConfigError, DataError
-from conftest import networks_json, openblas_core
+from conftest import networks_json, openblas_core, readme_config
 from loss_oracle import tape_cross_entropy
 from table_oracle import read_table as oracle_read
 
@@ -353,9 +362,8 @@ def _readme():
 
 
 def test_readme_config_passes_the_schema(tmp_path):
-    block = _readme().split("A minimal synthetic config:\n\n```json\n", 1)[1].split("```", 1)[0]
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(block)
+    cfg_path.write_text(json.dumps(readme_config()))
     args = build_parser().parse_args(["gen-data", "--config", str(cfg_path)])
     assert load_config(str(cfg_path), args).rates == (0.0, 0.05, 0.1)
 
@@ -480,6 +488,20 @@ def test_train_writes_the_same_models_for_any_cpu_count(tmp_path, monkeypatch):
         nets.append([(model.class_label, networks_json(model)) for model, _ in trained])
     assert [label for label, _ in nets[0]] == [1, 2, 3]
     assert nets[0] == nets[1] == nets[2]
+
+
+def test_train_exits_two_naming_a_feature_past_the_float64_range(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    doc = json.loads(pathlib.Path(cfg_path).read_text())
+    doc["dataset"]["synthetic"]["means"] = [[0.0], [1e300]]
+    pathlib.Path(cfg_path).write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["train", "--config", cfg_path]) == 2
+    assert re.fullmatch(r"error: feature f_1 has mean \S+ and std inf, past the float64 "
+                        r"range; rescale it\n", capsys.readouterr().err)
+    assert list((out / "models").iterdir()) == []
 
 
 @pytest.mark.parametrize("failure, code, message", [
@@ -1006,6 +1028,36 @@ def test_evaluate_holds_one_test_arm_at_a_time(pipeline, tmp_path, monkeypatch):
         assert (copy / "reports" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_evaluate_lets_go_of_the_training_rows_before_it_scores_the_calibration_rows(
+        pipeline, tmp_path, monkeypatch):
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    fit, score = baselines.train_softmax_classifier, baselines.SoftmaxClassifier.predict_proba
+    held, scored = [], []  # the training rows as loaded, then those the classifier fits
+
+    def watched_load(stem):
+        ds = load_dataset_npy(stem)
+        if os.path.basename(stem) == "train":
+            held.append(weakref.ref(ds.features))
+        return ds
+
+    def watched_fit(features, *args, **kwargs):
+        held.append(weakref.ref(features))
+        return fit(features, *args, **kwargs)
+
+    def watched_score(self, x):
+        if not scored:  # the first rows scored are the calibration rows
+            scored.append([ref() is None for ref in held])
+        return score(self, x)
+
+    monkeypatch.setattr(cli, "load_dataset_npy", watched_load)
+    monkeypatch.setattr(baselines, "train_softmax_classifier", watched_fit)
+    monkeypatch.setattr(baselines.SoftmaxClassifier, "predict_proba", watched_score)
+    assert _stage(cfg_path, copy, "evaluate") == (0, "")
+    assert scored == [[True, True]]
+
+
 @pytest.mark.parametrize("table", ["pvalues", "sets"])
 def test_evaluate_exits_two_naming_an_arm_without_predictions_before_any_work(
         pipeline, tmp_path, monkeypatch, table):
@@ -1297,6 +1349,57 @@ def test_evaluate_with_the_tape_cross_entropy_writes_the_same_bytes(pipeline, tm
     assert len(names) == 2 + 2 * 2 + 1
     for path in names:
         assert (copy / path.relative_to(out)).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("fraction, sides", [(0.995, (0, 64)), (0.005, (64, 0))])
+def test_evaluate_exits_one_naming_a_calibration_fraction_that_empties_a_side(
+        pipeline, tmp_path, fraction, sides):
+    _, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    shutil.rmtree(copy / "reports")
+    cfg_path, _ = write_config(tmp_path, baselines={"epochs": 5,
+                                                    "calibration_fraction": fraction})
+    assert _stage(cfg_path, copy, "evaluate") == (
+        1, f"config error: baselines.calibration_fraction {fraction} leaves class 1 (64 "
+           f"training rows) {sides[0]} rows to train the classifier and {sides[1]} to "
+           f"calibrate APS\n")
+    assert list((copy / "reports").iterdir()) == []
+
+
+def test_the_in_memory_path_gives_what_run_experiment_writes(pipeline):
+    # the stages read, call the package's functions and write; the same calls
+    # in memory give every p-value, set and report bit for bit
+    _, out = pipeline
+    cfg = ExperimentConfig.from_dict(base_config(out))
+    train, calib, test, outliers = make_splits(cfg.dataset, cfg.seed)
+    norm = fit_normalizer(train.features)
+    for ds in (train, calib):
+        norm.apply(ds.features, out=ds.features)
+    arch = roundtrip.FlowArchitecture(input_dim=train.dim, **cfg.model)
+    trained = roundtrip.train_class_flows(train.features, train.labels, arch,
+                                          roundtrip.TrainConfig(**cfg.train, seed=cfg.seed))
+    models = [model for model, _ in trained]
+    pools = [build_score_pool(m, train.features[train.labels == m.class_label]) for m in models]
+    baseline = baselines.fit_baselines(train, calib, cfg.classifier, cfg.calibration_fraction,
+                                       cfg.conformal.alpha, cfg.seed)
+    for rate, arm in zip(cfg.rates, contaminated_arms(test, outliers, cfg.rates, cfg.seed)):
+        token = cfg.rate_token(rate)
+        x = norm.apply(arm.features)
+        labels, matrix = p_value_matrix(models, pools, x, cfg.conformal.p_value_mode)
+        probs = baseline[0].predict_proba(x)
+        graded = grade_arm(arm.labels, labels, matrix, cfg.conformal.alpha, baseline, probs)
+        assert [method for method, _, _ in graded] == ["flow", "scaling", "aps"]
+
+        written = load_p_values(str(out / "predictions" / f"pvalues_{token}.csv"))
+        assert written[0] == labels and written[1].tobytes() == matrix.tobytes()
+        written = load_sets(str(out / "predictions" / f"sets_{token}.csv"))
+        assert written[0] == labels and written[1].tobytes() == graded[0][1].tobytes()
+        written = read_matrix(str(out / "predictions" / f"probs_{token}.csv"), "p_")
+        assert written[0] == baseline[0].class_labels and written[1].tobytes() == probs.tobytes()
+        for method, _, report in graded:
+            text = (out / "reports" / f"report_{method}_{token}.json").read_text()
+            assert text == json.dumps(report.to_dict(), separators=(",", ":")) + "\n", method
 
 
 def test_baselines_off_limits_comparison_to_flow(tmp_path):

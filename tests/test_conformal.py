@@ -20,7 +20,6 @@ from flowconformal.conformal import (
     load_pools,
     load_sets,
     nonconformity_scores,
-    p_value,
     p_value_matrix,
     predictive_set,
     save_p_values,
@@ -31,6 +30,7 @@ from flowconformal.errors import ConfigError, DataError
 from flowconformal.evaluation import chi2_moment_check
 from flowconformal.nn import Mlp, MlpSpec
 from flowconformal.roundtrip import ClassFlowModel
+from conformal_oracle import p_value
 
 
 def make_affine_model(weight, bias, label=1):

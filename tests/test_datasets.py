@@ -5,8 +5,10 @@ Oracles: exact row counts, hand-built IDX byte strings, the CLT for sample
 means of synthetic draws, and exact save/load round-trips.
 """
 
+import re
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +331,17 @@ def test_normalizer_dict_roundtrip_and_dim_check():
         norm.apply(np.zeros((3, 5)))
     with pytest.raises(DataError, match="at least 2 rows"):
         fit_normalizer(np.zeros((1, 2)))
+
+
+def test_normalizer_names_a_feature_past_the_float64_range():
+    # column 2's squares overflow, so its std does; column 3's sum, so its mean does
+    x = np.array([[0.0, 1e300, 1e308], [1.0, -1e300, 1e308], [2.0, 0.0, 1e308]])
+    for cols, message in (([0, 1], "feature f_2 has mean 0.0 and std inf"),
+                          ([0, 2], "feature f_2 has mean inf and std ")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(DataError, match=re.escape(message)):
+                fit_normalizer(x[:, cols])
 
 
 # -- CSV round-trips ------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Every name a flowconformal module imports is used there or re-exported
 through its ``__all__``, and every module-level ``_private`` name is read
 somewhere in the package, so an import or helper that outlives the code it
-served fails here. Each CLI stage loads only the package modules it calls.
-Standard library only: the repo installs no lint tool."""
+served fails here. Each seeded stream's offset is written in one place, the
+module that draws from it. Each CLI stage loads only the package modules it
+calls. Standard library only: the repo installs no lint tool."""
 
 import ast
 import json
@@ -13,7 +14,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flowconformal"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "flowconformal"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -107,6 +109,55 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read_in_src():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def seed_offsets(sources: dict[str, str]) -> dict[int, list[str]]:
+    """'path:line' of each place, by offset, that adds an int literal of at
+    least 10_000 to a name ending in ``seed`` (``seed + 40_000``,
+    ``cfg.seed + 60_000``): the offset names a seeded stream."""
+    found = {}
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.right, ast.Constant)
+                    and type(node.right.value) is int and node.right.value >= 10_000
+                    and str(getattr(node.left, "id", getattr(node.left, "attr", ""))
+                            ).endswith("seed")):
+                found.setdefault(node.right.value, []).append(f"{path}:{node.lineno}")
+    return found
+
+
+def misplaced_stream_offsets(sources: dict[str, str]) -> list[str]:
+    """'seed + N: places' for each stream offset added in more than one place,
+    or in cli.py or a test, which must call the module that owns the stream."""
+    return [f"seed + {offset}: {', '.join(places)}"
+            for offset, places in sorted(seed_offsets(sources).items())
+            if len(places) > 1 or any(place.startswith(("src/flowconformal/cli.py:", "tests/"))
+                                      for place in places)]
+
+
+def test_the_check_finds_a_repeated_stream_offset():
+    sources = {
+        "src/flowconformal/a.py": "x = seed + 10_000\ny = cfg.seed + 20_000 + i\n"
+                                  "z = seed + 7\nw = base + 30_000\n",
+        "src/flowconformal/b.py": "v = spec.seed + 10_000\n",
+        "src/flowconformal/cli.py": "u = cfg.seed + 40_000\n",
+        "tests/test_c.py": "t = dict(seed=seed + 50_000)\n",
+    }
+    assert sorted(seed_offsets(sources)) == [10_000, 20_000, 40_000, 50_000]
+    assert misplaced_stream_offsets(sources) == [
+        "seed + 10000: src/flowconformal/a.py:1, src/flowconformal/b.py:1",
+        "seed + 40000: src/flowconformal/cli.py:1",
+        "seed + 50000: tests/test_c.py:1",
+    ]
+
+
+def test_each_stream_offset_has_one_source():
+    sources = {str(path.relative_to(REPO)): path.read_text()
+               for path in sorted([*SRC.glob("*.py"), *(REPO / "tests").glob("*.py")])}
+    assert misplaced_stream_offsets(sources) == []
+    # the check sees every stream the package draws from
+    assert sorted(seed_offsets(sources)) == [10_000 * k for k in range(1, 8)]
 
 
 # what cli.py may import from the package before any stage runs

@@ -13,10 +13,10 @@ from flowconformal.kernels import (
     KernelSpec,
     _sq_dists,
     median_bandwidth,
-    mmd2_unbiased,
     mmd2_unbiased_graph,
     resolve_bandwidth,
 )
+from loss_oracle import mmd2_unbiased
 from tape_oracle import TapeTensor
 
 

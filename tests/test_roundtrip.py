@@ -24,7 +24,6 @@ from flowconformal.baselines import SoftmaxClassifier
 from flowconformal.errors import ConfigError, DataError
 from flowconformal.kernels import (
     KernelSpec,
-    mmd2_unbiased,
     resolve_bandwidth,
 )
 from flowconformal.nn import Mlp, MlpSpec, mlp_to_dict
@@ -36,7 +35,6 @@ from flowconformal.roundtrip import (
     encode,
     load_class_flow,
     loss_cycle,
-    loss_forward_gan,
     loss_latent_mmd,
     loss_pred_finetune,
     sample_latent,
@@ -47,6 +45,8 @@ from flowconformal.roundtrip import (
 from conftest import networks_json, openblas_core
 from loss_oracle import (
     ROUNDTRIP_ORACLES,
+    loss_forward_gan,
+    mmd2_unbiased,
     tape_disc_loss,
     tape_gen_loss,
     tape_loss_cycle,

@@ -315,6 +315,17 @@ def test_write_json_rejects_non_finite_floats(tmp_path, bad):
             write_json(str(tmp_path / "doc.json"), doc)
 
 
+def test_write_json_leaves_the_file_alone_when_the_doc_does_not_serialize(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}\n")
+    fresh = tmp_path / "fresh.json"
+    for path, doc in ((kept, {"std": [1.0, math.inf]}), (fresh, [math.nan])):
+        with pytest.raises(ValueError):
+            write_json(str(path), doc)
+    assert kept.read_text() == "{}\n"
+    assert not fresh.exists()
+
+
 @given(arrays(np.float64, shapes, elements=st.floats(0.01, 10.0)))
 def test_probabilities_round_trip(tmp_path_factory, raw):
     probs = raw / raw.sum(axis=1, keepdims=True)
